@@ -173,12 +173,12 @@ def area_kernel_fft(bmap: BoundaryMap, r: float, n_samples: int | None = None) -
 def _jacobian_value(coeffs: FourierCoeffs, r: float, n_rho: int, n_theta: int) -> float:
     rho = (np.arange(n_rho) + 0.5) * (r / n_rho)
     thetas = (np.arange(n_theta) + 0.5) * (TWO_PI / n_theta)
-    total = 0.0
-    for p in rho:
-        dh, dg = wirtinger_on_circle(coeffs, p, thetas)
-        det = np.abs(dh) ** 2 - np.abs(dg) ** 2
-        total += float(np.sum(det)) * p
-    return total * (r / n_rho) * (TWO_PI / n_theta)
+    dh, dg = wirtinger_on_circle(coeffs, rho, thetas)
+    det = np.abs(dh) ** 2 - np.abs(dg) ** 2
+    # add the rings one after another (accumulate is sequential), so the sum
+    # does not depend on how a dot product would block it
+    total = np.add.accumulate(np.sum(det, axis=1) * rho)[-1]
+    return float(total) * (r / n_rho) * (TWO_PI / n_theta)
 
 
 def area_jacobian_grid(

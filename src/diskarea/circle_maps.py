@@ -38,8 +38,7 @@ class BoundaryMap:
     ``knots_lift[-1] == knots_lift[0] + 2*pi``.  Between knots the lift is
     interpolated linearly for kind ``homeomorphism`` and held constant
     (right-continuous) for kind ``nondecreasing-step``.  The first lift value
-    is normalized into ``[0, 2*pi)``.  Instances are immutable and safe to
-    share across worker threads.
+    is normalized into ``[0, 2*pi)``.  Instances are immutable.
     """
 
     knots_t: np.ndarray
@@ -264,8 +263,13 @@ def to_json(bmap: BoundaryMap) -> str:
 
 
 def from_json(text: str) -> BoundaryMap:
+    """Parse the wire schema; malformed documents raise ``ValueError``."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not {"kind", "omega_re", "omega_im", "knots"} <= doc.keys():
+        raise ValueError("boundary-map JSON needs the keys kind, omega_re, omega_im and knots")
     knots = np.asarray(doc["knots"], dtype=float)
+    if knots.ndim != 2 or knots.shape[1] != 2:
+        raise ValueError("boundary-map JSON knots must be a list of [t, lift] pairs")
     return BoundaryMap(
         knots_t=knots[:, 0],
         knots_lift=knots[:, 1],
@@ -275,5 +279,13 @@ def from_json(text: str) -> BoundaryMap:
 
 
 def map_hash(bmap: BoundaryMap) -> str:
-    """Short stable identifier of the exact knot content."""
-    return hashlib.sha1(to_json(bmap).encode()).hexdigest()[:12]
+    """Short stable identifier of the exact knot content.
+
+    The first 12 hex digits of the SHA-1 of ``kind``, then ``omega`` and the
+    knot arrays ``knots_t`` and ``knots_lift`` as raw little-endian float64
+    bytes.  Equal maps hash equal; a one-ulp change in any knot changes it.
+    """
+    h = hashlib.sha1(bmap.kind.encode() + b"\0")
+    for part in ((bmap.omega.real, bmap.omega.imag), bmap.knots_t, bmap.knots_lift):
+        h.update(np.asarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()[:12]

@@ -64,7 +64,6 @@ def build_parser() -> _Parser:
     p_area.add_argument("--order", type=int, default=512)
     p_area.add_argument("--conjugate", action="store_true",
                         help="analyze conj(f(conj(z))) of each family instance (orientation-reversing input)")
-    p_area.add_argument("--workers", type=int, default=4)
     p_area.add_argument("--out", default=None)
     p_area.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -81,7 +80,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--tol", action="append", default=[],
                           help="check_name=value tolerance override; repeatable")
     p_verify.add_argument("--conjugate", action="store_true")
-    p_verify.add_argument("--workers", type=int, default=4)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -115,7 +113,6 @@ def _cmd_area(args) -> int:
         resolution=args.resolution,
         order=args.order,
         conjugate=args.conjugate,
-        workers=args.workers,
     )
     rows = run_area(config)
     text = format_csv(rows, AREA_COLUMNS) if args.format == "csv" else format_jsonl(rows)
@@ -139,7 +136,6 @@ def _cmd_verify(args) -> int:
         order=args.order,
         tolerances=tolerances,
         conjugate=args.conjugate,
-        workers=args.workers,
     )
     if args.suite == "convexity" and args.family:
         spec = args.family[0]

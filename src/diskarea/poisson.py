@@ -22,12 +22,13 @@ from .circle_maps import (
 )
 
 
-def _check_radius(r: float, allow_zero: bool = True) -> float:
-    r = float(r)
-    lo_ok = r >= 0.0 if allow_zero else r > 0.0
-    if not (lo_ok and r < 1.0):
+def _check_radius(r, allow_zero: bool = True):
+    """Validate a radius, or an array of radii, as lying in [0, 1) (or (0, 1))."""
+    ra = np.asarray(r, dtype=float)
+    lo_ok = ra >= 0.0 if allow_zero else ra > 0.0
+    if not np.all(lo_ok & (ra < 1.0)):
         raise ValueError(f"radius must lie in {'[0, 1)' if allow_zero else '(0, 1)'}, got {r}")
-    return r
+    return ra if ra.ndim else float(ra)
 
 
 def poisson_kernel(r: float, t):
@@ -159,31 +160,35 @@ def fourier_from_boundary(bmap: BoundaryMap, order: int = 256, n_samples: int | 
     return FourierCoeffs(c, order, f"{map_hash(bmap)}:{m}")
 
 
-def eval_harmonic(coeffs: FourierCoeffs, r: float, theta):
-    """Harmonic extension sum c_n r^{|n|} e^{i n theta} via two Horner passes."""
-    r = _check_radius(r)
+def _series(c, ns, rho, theta):
+    """Truncated series sum_n c_n rho^|n| e^{i n theta} at every (rho, theta).
+
+    Evaluated as a table of rho^|n| c_n, one row per radius, times a table of
+    e^{i n theta}, one column per angle.  That is exact on any angle grid,
+    without the aliasing an FFT has once there are fewer angles than terms.
+    Leading axes of ``c`` hold series that share both tables.  The result has
+    shape ``c.shape[:-1] + rho.shape + theta.shape``.
+    """
+    rho = _check_radius(rho)
     theta = np.asarray(theta, dtype=float)
-    w = r * np.exp(1j * theta)
-    n = coeffs.order
-    pos = coeffs.coeffs[n:]            # c_0 .. c_N
-    neg = coeffs.coeffs[:n][::-1]      # c_{-1} .. c_{-N}
-    out = np.polynomial.polynomial.polyval(w, pos)
-    out = out + np.conj(w) * np.polynomial.polynomial.polyval(np.conj(w), neg)
-    return out if theta.ndim else complex(out)
+    powers = np.reshape(rho, (-1, 1)) ** np.abs(ns) * c[..., None, :]
+    phases = np.exp(1j * np.multiply.outer(ns, theta.ravel()))
+    out = (powers @ phases).reshape(c.shape[:-1] + np.shape(rho) + theta.shape)
+    return out if out.ndim else complex(out)
 
 
-def eval_theta_derivative(coeffs: FourierCoeffs, r: float, theta):
-    """Angular derivative: sum (i n) c_n r^{|n|} e^{i n theta}."""
-    r = _check_radius(r)
-    theta = np.asarray(theta, dtype=float)
-    w = r * np.exp(1j * theta)
-    n = coeffs.order
-    ns = np.arange(n + 1)
-    pos = 1j * ns * coeffs.coeffs[n:]
-    neg = (-1j * ns[1:]) * coeffs.coeffs[:n][::-1]
-    out = np.polynomial.polynomial.polyval(w, pos)
-    out = out + np.conj(w) * np.polynomial.polynomial.polyval(np.conj(w), neg)
-    return out if theta.ndim else complex(out)
+def eval_harmonic(coeffs: FourierCoeffs, r, theta):
+    """Harmonic extension sum c_n r^{|n|} e^{i n theta}.
+
+    ``r`` is a radius or an array of radii; the result has the shape of ``r``
+    followed by the shape of ``theta``.
+    """
+    return _series(coeffs.coeffs, coeffs.indices, r, theta)
+
+
+def eval_theta_derivative(coeffs: FourierCoeffs, r, theta):
+    """Angular derivative: sum (i n) c_n r^{|n|} e^{i n theta}, shaped as :func:`eval_harmonic`."""
+    return _series(1j * coeffs.indices * coeffs.coeffs, coeffs.indices, r, theta)
 
 
 def eval_harmonic_direct(bmap: BoundaryMap, r: float, theta: float, n_samples: int = 2048) -> complex:
@@ -224,25 +229,21 @@ def circle_theta_derivative(coeffs: FourierCoeffs, r: float, n_samples: int) -> 
     return np.fft.ifft(spectrum) * n_samples
 
 
-def wirtinger_on_circle(coeffs: FourierCoeffs, rho: float, thetas) -> tuple[np.ndarray, np.ndarray]:
+def wirtinger_on_circle(coeffs: FourierCoeffs, rho, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(dz f, conj of dzbar f) on the circle of radius rho.
 
     Splitting f = h(z) + conj(g(z)) into its analytic and co-analytic parts,
-    returns (h'(z), g'(z)); the Jacobian determinant is |h'|^2 - |g'|^2.
+    returns (h'(z), g'(z)); the Jacobian determinant is |h'|^2 - |g'|^2.  An
+    array of radii ``rho`` gives one row per circle.
     """
-    rho = _check_radius(rho)
-    thetas = np.asarray(thetas, dtype=float)
-    z = rho * np.exp(1j * thetas)
     n = coeffs.order
-    ns = np.arange(1, n + 1)
-    hp = ns * coeffs.coeffs[n + 1 :]
-    gp = ns * np.conj(coeffs.coeffs[:n][::-1])
-    dh = np.polynomial.polynomial.polyval(z, hp)
-    dg = np.polynomial.polynomial.polyval(z, gp)
+    k = np.arange(1, n + 1)
+    series = np.stack([k * coeffs.coeffs[n + 1 :], k * np.conj(coeffs.coeffs[:n][::-1])])
+    dh, dg = _series(series, k - 1, rho, thetas)
     return dh, dg
 
 
-def _poisson_antiderivative(r: float, x):
+def _poisson_antiderivative(r, x):
     """Monotone lift F with F'(x) = P_r(x), F(0) = 0, F(x + 2 pi) = F(x) + 2 pi."""
     x = np.asarray(x, dtype=float)
     k = np.round(x / TWO_PI)
@@ -251,11 +252,12 @@ def _poisson_antiderivative(r: float, x):
     return base + TWO_PI * k
 
 
-def eval_harmonic_step(bmap: BoundaryMap, r: float, theta):
+def eval_harmonic_step(bmap: BoundaryMap, r, theta):
     """Exact harmonic extension of a step correspondence via arc measures.
 
     Integrates the kernel in closed form over each constancy arc, so the
     result carries no quadrature error even though the boundary data jumps.
+    ``r`` may be an array of radii, shaped as in :func:`eval_harmonic`.
     """
     if bmap.kind != NONDECREASING_STEP:
         raise ValueError("exact arc evaluation applies to step maps only")
@@ -263,8 +265,9 @@ def eval_harmonic_step(bmap: BoundaryMap, r: float, theta):
     theta = np.asarray(theta, dtype=float)
     t = bmap.knots_t
     vals = np.exp(1j * bmap.knots_lift[:-1])
+    rr = np.reshape(r, np.shape(r) + (1,) * (theta.ndim + 1))
     th = theta[..., None]
-    hi = _poisson_antiderivative(r, th - t[:-1])
-    lo = _poisson_antiderivative(r, th - t[1:])
+    hi = _poisson_antiderivative(rr, th - t[:-1])
+    lo = _poisson_antiderivative(rr, th - t[1:])
     out = bmap.omega * np.sum(vals * (hi - lo), axis=-1) / TWO_PI
-    return out if theta.ndim else complex(out)
+    return out if out.ndim else complex(out)

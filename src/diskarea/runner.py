@@ -1,9 +1,9 @@
 """Sweep configuration, family-spec parsing, suite execution, report emission.
 
 Family specs are small colon-separated strings (``random:0..99:0.5``,
-``mobius:0.3``); suites fan out over (map, radius) tasks through a bounded
-thread pool and merge results in a fixed sort order, so identical configs
-produce byte-identical reports apart from the wall-time column.
+``mobius:0.3``); suites run their (map, radius) tasks in order and sort the
+rows in a fixed order, so identical configs produce byte-identical reports
+apart from the wall-time column.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +83,6 @@ class SweepConfig:
     seed: int = 0
     seeds: list = field(default_factory=lambda: list(range(100)))
     mollify: list = field(default_factory=lambda: [TWO_PI / 32, TWO_PI / 64, TWO_PI / 128])
-    workers: int = 4
     conjugate: bool = False
     output: str | None = None
     fmt: str = "csv"
@@ -108,9 +106,13 @@ class FamilyInstance:
 
 
 def parse_seed_range(text: str) -> list[int]:
+    """``n`` or the inclusive range ``lo..hi``; an empty range is a usage error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise ConfigError(f"empty seed range {text!r}")
+        return seeds
     return [int(text)]
 
 
@@ -229,9 +231,12 @@ def run_area(config: SweepConfig) -> list[dict]:
         if m not in _AREA_METHODS:
             raise ConfigError(f"unknown area method {m!r} (choose from {sorted(_AREA_METHODS)})")
     instances = expand_families(config)
-    tasks = [(inst, r, meth) for inst in instances for r in config.radii for meth in config.methods]
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        rows = list(pool.map(lambda t: _area_one(t[0], t[1], t[2], config), tasks))
+    rows = [
+        _area_one(inst, r, meth, config)
+        for inst in instances
+        for r in config.radii
+        for meth in config.methods
+    ]
     rows.sort(key=lambda row: (row["map_id"], row["r"], row["method"]))
     return rows
 
@@ -273,8 +278,8 @@ def run_contraction_suite(config: SweepConfig) -> list[dict]:
     config.validate_radii()
     tol_scale = config.tolerances.get("area-contraction", 1e-6)
 
-    def one(inst: FamilyInstance):
-        out = []
+    rows = []
+    for inst in _contraction_tasks(config):
         t0 = time.perf_counter()
         coeffs = fourier_from_boundary(inst.source, order=config.order)
         for r in config.radii:
@@ -284,12 +289,7 @@ def run_contraction_suite(config: SweepConfig) -> list[dict]:
                 "area-contraction", inst.map_id, r, est.value, disk, tol_scale * disk, est.resolution
             )
             ms = (time.perf_counter() - t0) * 1e3
-            out.append(_record_row(rec, inst.family, inst.params, GREEN_SPECTRAL, est.error_indicator, ms))
-        return out
-
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        chunks = list(pool.map(one, list(_contraction_tasks(config))))
-    rows = [row for chunk in chunks for row in chunk]
+            rows.append(_record_row(rec, inst.family, inst.params, GREEN_SPECTRAL, est.error_indicator, ms))
     rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
     return rows
 
@@ -447,15 +447,11 @@ def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 
                 )
             )
 
-    def profile_batch(seed):
-        worst = math.inf
-        for r in radii:
-            value, _ = proof_checks.profile_gap_integral(proof_checks.random_profile(seed), r)
-            worst = min(worst, value)
-        return worst
-
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        worst_profile = min(pool.map(profile_batch, range(n_profiles)))
+    worst_profile = min(
+        proof_checks.profile_gap_integral(proof_checks.random_profile(seed), r)[0]
+        for seed in range(n_profiles)
+        for r in radii
+    )
     rec = verify.make_verdict("profile-gap-integral", f"random-profiles:{n_profiles}",
                               max(radii), -worst_profile, 0.0, 1e-8, 512)
     rows.append(_record_row(rec, "profile", f"count={n_profiles}"))

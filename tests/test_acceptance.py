@@ -28,7 +28,6 @@ def contraction_rows():
         radii=[0.25, 0.5, 0.75, 0.9],
         seeds=list(range(100)),
         mollify=[TWO_PI / 32, TWO_PI / 64, TWO_PI / 128],
-        workers=4,
     )
     t0 = time.perf_counter()
     rows = runner.run_contraction_suite(config)

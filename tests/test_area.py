@@ -124,6 +124,20 @@ class TestJacobianGrid:
         with pytest.raises(ValueError):
             da.area_jacobian_grid(step_two_jump, 0.5)
 
+    def test_all_rings_match_ring_by_ring_reference(self, mollified_map):
+        # the per-ring loop the one-call evaluation replaced, kept as the reference
+        coeffs = da.fourier_from_boundary(mollified_map, order=64)
+        r, n_rho, n_theta = 0.9, 48, 32
+        rho = (np.arange(n_rho) + 0.5) * (r / n_rho)
+        thetas = (np.arange(n_theta) + 0.5) * (TWO_PI / n_theta)
+        total = 0.0
+        for p in rho:
+            dh, dg = da.wirtinger_on_circle(coeffs, p, thetas)
+            total += float(np.sum(np.abs(dh) ** 2 - np.abs(dg) ** 2)) * p
+        want = total * (r / n_rho) * (TWO_PI / n_theta)
+        got = da.area_jacobian_grid(coeffs, r, n_rho, n_theta).value
+        assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_random_matches_green(self, mollified_map):
         jac = da.area_jacobian_grid(mollified_map, 0.5, 512, 256)
         green = da.area_green_quadrature(mollified_map, 0.5, 1024)

@@ -216,3 +216,27 @@ class TestSerialization:
     def test_hash_stable_and_distinct(self, random_map):
         assert da.map_hash(random_map) == da.map_hash(random_map)
         assert da.map_hash(random_map) != da.map_hash(da.make_identity())
+
+    def test_hash_covers_kind_omega_and_every_knot_bit(self, random_map):
+        t, lift = random_map.knots_t, random_map.knots_lift
+
+        def variant(t=t, lift=lift, omega=random_map.omega, kind=random_map.kind):
+            return da.map_hash(da.BoundaryMap(t.copy(), lift.copy(), omega, kind))
+
+        base = da.map_hash(random_map)
+        assert variant() == base
+        assert variant(omega=random_map.omega * np.exp(1e-9j)) != base
+        assert variant(kind=da.NONDECREASING_STEP) != base
+        nudged = lift.copy()
+        nudged[5] = np.nextafter(nudged[5], np.inf)
+        assert variant(lift=nudged) != base
+        nudged = t.copy()
+        nudged[5] = np.nextafter(nudged[5], np.inf)
+        assert variant(t=nudged) != base
+
+    def test_malformed_json_raises_value_error(self):
+        flat = json.dumps({"kind": "homeomorphism", "omega_re": 1.0, "omega_im": 0.0,
+                           "knots": [0.0, TWO_PI]})
+        for text in ("{}", flat):
+            with pytest.raises(ValueError):
+                da.from_json(text)

@@ -109,6 +109,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 64
 
+    def test_empty_seed_range_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "5..3")
+        assert code == 64
+        assert "empty seed range" in err
+        assert out == ""
+
+    def test_workers_flag_removed(self, capsys):
+        for command in (("area", "--family", "identity", "--r", "0.5"), ("verify", "--suite", "boundary")):
+            code, _, _ = run_cli(capsys, *command, "--workers", "2")
+            assert code == 64
+
     def test_determinism_modulo_wall_time(self, capsys):
         args = ("verify", "--suite", "schwarz", "--seeds", "0..2", "--radii", "0.5")
         _, out1, _ = run_cli(capsys, *args)

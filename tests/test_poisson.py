@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
 from diskarea.poisson import circle_theta_derivative, circle_values
@@ -130,6 +131,32 @@ class TestEvalHarmonic:
         direct = da.eval_harmonic_direct(random_map, 0.5, 1.0, n_samples=2048)
         assert abs(spectral - direct) < 1e-8
 
+    def test_order_512_against_direct_quadrature_oracle(self, random_map):
+        coeffs = da.fourier_from_boundary(random_map, order=512, n_samples=2048)
+        thetas = np.array([0.0, 1.0, 4.0])
+        spectral = da.eval_harmonic(coeffs, 0.5, thetas)
+        for th, value in zip(thetas, spectral):
+            assert abs(value - da.eval_harmonic_direct(random_map, 0.5, th, n_samples=2048)) < 1e-8
+
+    def test_matches_horner_reference(self, mollified_map):
+        # the two-pass Horner form the table evaluator replaced, kept as the reference
+        coeffs = da.fourier_from_boundary(mollified_map, order=128)
+        n = coeffs.order
+        thetas = np.linspace(0, TWO_PI, 37)
+        for r in (0.0, 0.3, 0.9):
+            w = r * np.exp(1j * thetas)
+            horner = polyval(w, coeffs.coeffs[n:]) + np.conj(w) * polyval(np.conj(w), coeffs.coeffs[:n][::-1])
+            assert np.max(np.abs(da.eval_harmonic(coeffs, r, thetas) - horner)) < 1e-14
+
+    def test_array_of_radii_gives_rows(self, random_map):
+        coeffs = da.fourier_from_boundary(random_map, order=64)
+        radii = np.array([0.0, 0.4, 0.95])
+        thetas = np.linspace(0, TWO_PI, 11)
+        grid = da.eval_harmonic(coeffs, radii, thetas)
+        assert grid.shape == (3, 11)
+        for row, r in zip(grid, radii):
+            assert np.max(np.abs(row - da.eval_harmonic(coeffs, r, thetas))) < 1e-15
+
     def test_rotation_scales(self):
         coeffs = da.fourier_from_boundary(da.make_rotation(math.pi / 2), order=8)
         z = 0.4 * np.exp(1j * 0.9)
@@ -155,6 +182,9 @@ class TestEvalHarmonic:
         coeffs = da.fourier_from_boundary(random_map, order=16)
         with pytest.raises(ValueError):
             da.eval_harmonic(coeffs, 1.0, 0.0)
+        for radii in ([0.5, 1.0], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                da.eval_harmonic(coeffs, np.array(radii), 0.0)
 
 
 class TestThetaDerivative:
@@ -172,6 +202,30 @@ class TestThetaDerivative:
         r, th, h = 0.7, 0.9, 1e-5
         fd = (da.eval_harmonic(coeffs, r, th + h) - da.eval_harmonic(coeffs, r, th - h)) / (2 * h)
         assert abs(fd - da.eval_theta_derivative(coeffs, r, th)) < 1e-7
+
+
+class TestWirtinger:
+    def test_matches_horner_reference(self, mollified_map):
+        coeffs = da.fourier_from_boundary(mollified_map, order=128)
+        n = coeffs.order
+        k = np.arange(1, n + 1)
+        thetas = np.linspace(0, TWO_PI, 37)
+        for rho in (0.0, 0.5, 0.9):
+            z = rho * np.exp(1j * thetas)
+            dh, dg = da.wirtinger_on_circle(coeffs, rho, thetas)
+            assert np.max(np.abs(dh - polyval(z, k * coeffs.coeffs[n + 1 :]))) < 1e-13
+            assert np.max(np.abs(dg - polyval(z, k * np.conj(coeffs.coeffs[:n][::-1])))) < 1e-13
+
+    def test_array_of_radii_rows_equal_scalar_calls(self, mollified_map):
+        coeffs = da.fourier_from_boundary(mollified_map, order=128)
+        rhos = np.array([0.0, 0.25, 0.6, 0.97])
+        thetas = np.linspace(0, TWO_PI, 50, endpoint=False)
+        dh, dg = da.wirtinger_on_circle(coeffs, rhos, thetas)
+        assert dh.shape == dg.shape == (4, 50)
+        for i, rho in enumerate(rhos):
+            sh, sg = da.wirtinger_on_circle(coeffs, rho, thetas)
+            np.testing.assert_allclose(dh[i], sh, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(dg[i], sg, rtol=1e-14, atol=1e-15)
 
 
 class TestCircleGridEvaluation:
@@ -201,6 +255,14 @@ class TestStepEvaluator:
         thetas = np.linspace(0, TWO_PI, 9)
         vals = da.eval_harmonic_step(step_four_jump, r, thetas)
         assert np.all(np.abs(vals) < 1.0)
+
+    def test_array_of_radii_rows_equal_scalar_calls(self, step_four_jump):
+        radii = np.array([0.0, 0.3, 0.9])
+        thetas = np.linspace(0, TWO_PI, 13)
+        grid = da.eval_harmonic_step(step_four_jump, radii, thetas)
+        assert grid.shape == (3, 13)
+        for row, r in zip(grid, radii):
+            assert np.array_equal(row, da.eval_harmonic_step(step_four_jump, r, thetas))
 
     def test_rejects_homeomorphism_input(self, random_map):
         with pytest.raises(ValueError):

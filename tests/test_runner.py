@@ -42,6 +42,8 @@ class TestFamilyParsing:
     def test_seed_range_single(self):
         assert runner.parse_seed_range("7") == [7]
         assert runner.parse_seed_range("3..5") == [3, 4, 5]
+        with pytest.raises(runner.ConfigError):
+            runner.parse_seed_range("5..3")
 
     def test_bad_specs(self):
         for spec in ("bogus", "mobius:2.0", "random:x:0.5", "step:1.0@"):
