@@ -1,7 +1,8 @@
 """Harmonic self-maps of the unit disk: areas of concentric-disk images,
 contraction and boundary-flux verification, and the pointwise identities
-behind them.  The quadratic-cost kernels run through a compiled core when the
-extension is built (``diskarea.pair_sums.BACKEND`` says which path is live).
+behind them.  Pure Python on numpy: the pair sums behind the area and the
+tangent-gap double integral run through FFTs in ``diskarea.pair_sums``, with
+the dense O(M^2) area sum kept as the ``kernel-direct`` estimator.
 """
 
 from .area import (
@@ -42,7 +43,6 @@ from .circle_maps import (
     mollify_map,
     to_json,
 )
-from .pair_sums import BACKEND, HAVE_COMPILED
 from .poisson import (
     FourierCoeffs,
     eval_harmonic,

@@ -11,8 +11,9 @@ the identity at radius r gives pi * r^2.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,16 +54,7 @@ class AreaEstimate:
     error_indicator: float
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "value": self.value,
-                "method": self.method,
-                "resolution": self.resolution,
-                "error_indicator": self.error_indicator,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def kernel_sample_count(r: float) -> int:
@@ -130,20 +122,26 @@ def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) ->
     return AreaEstimate(full, GREEN_QUADRATURE, n_samples, abs(full - half))
 
 
-def _kernel_direct_value(bmap: BoundaryMap, r: float, m: int, backend=None) -> float:
+def _check_kernel_samples(r: float, n_samples: int | None) -> int:
+    m = kernel_sample_count(r) if n_samples is None else int(n_samples)
+    if m < 2:
+        raise ValueError("kernel quadrature needs n_samples >= 2")
+    return m
+
+
+def _kernel_direct_value(bmap: BoundaryMap, r: float, m: int) -> float:
     t = np.arange(m) * (TWO_PI / m)
     xi = eval_lift(bmap, t)
     kern = area_kernel(r, t)
-    impl = backend if backend is not None else pair_sums
-    return (math.pi / (m * m)) * impl.sin_pair_sum(kern, xi)
+    return (math.pi / (m * m)) * pair_sums.sin_pair_sum(kern, xi)
 
 
-def area_kernel_direct(bmap: BoundaryMap, r: float, n_samples: int | None = None, backend=None) -> AreaEstimate:
+def area_kernel_direct(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
     """O(M^2) double trapezoid sum of (1/4pi) K(s - t) sin(lift(s) - lift(t))."""
     r = _check_radius(r, allow_zero=False)
-    m = kernel_sample_count(r) if n_samples is None else int(n_samples)
-    full = _kernel_direct_value(bmap, r, m, backend)
-    half = _kernel_direct_value(bmap, r, m // 2, backend)
+    m = _check_kernel_samples(r, n_samples)
+    full = _kernel_direct_value(bmap, r, m)
+    half = _kernel_direct_value(bmap, r, m // 2)
     return AreaEstimate(full, KERNEL_DIRECT, m, abs(full - half))
 
 
@@ -151,20 +149,14 @@ def _kernel_fft_value(bmap: BoundaryMap, r: float, m: int) -> float:
     t = np.arange(m) * (TWO_PI / m)
     xi = eval_lift(bmap, t)
     kern = area_kernel(r, t)
-    u = np.sin(xi)
-    v = np.cos(xi)
-    fu = np.fft.fft(u)
-    fv = np.fft.fft(v)
-    corr_uv = np.fft.ifft(fu * np.conj(fv)).real  # lag d: sum_k u[k+d] v[k]
-    corr_vu = np.fft.ifft(fv * np.conj(fu)).real
-    return (math.pi / (m * m)) * float(np.dot(kern, corr_uv - corr_vu))
+    return (math.pi / (m * m)) * float(np.dot(kern, pair_sums._sine_lag_sums(xi)))
 
 
 def area_kernel_fft(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
-    """Same finite sum as :func:`area_kernel_direct`, reassociated through
-    two circular cross-correlations of sin and cos of the lift; O(M log M)."""
+    """Same finite sum as :func:`area_kernel_direct`, reassociated over the lag
+    j - k into the circular sine lag sums of the lift; O(M log M)."""
     r = _check_radius(r, allow_zero=False)
-    m = kernel_sample_count(r) if n_samples is None else int(n_samples)
+    m = _check_kernel_samples(r, n_samples)
     full = _kernel_fft_value(bmap, r, m)
     half = _kernel_fft_value(bmap, r, m // 2)
     return AreaEstimate(full, KERNEL_FFT, m, abs(full - half))

@@ -164,6 +164,10 @@ BENCH_COLUMNS = ("schema", "map_id", "r", "method", "resolution", "value", "rel_
 
 def _cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",") if x]
+    if args.repeat < 1:
+        raise ConfigError("--repeat must be at least 1")
+    if any(m < 2 for m in sizes):
+        raise ConfigError("--sizes must all be at least 2")
     bmap = mollify_map(make_random_homeomorphism(args.seed, roughness=0.5))
     map_id = f"random:{args.seed}:0.5|moll"
     rows = []
@@ -172,14 +176,12 @@ def _cmd_bench(args) -> int:
         t = np.arange(m) * (TWO_PI / m)
         xi = eval_lift(bmap, t)
         kern = area_kernel(args.r, t)
-        timed = []
-        for backend, impl in sorted(pair_sums.implementations().items()):
-            best = math.inf
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                raw = impl.sin_pair_sum(kern, xi)
-                best = min(best, time.perf_counter() - t0)
-            timed.append((f"kernel-direct[{backend}]", (math.pi / (m * m)) * raw, best))
+        best = math.inf
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            raw = pair_sums.sin_pair_sum(kern, xi)
+            best = min(best, time.perf_counter() - t0)
+        timed = [("kernel-direct", (math.pi / (m * m)) * raw, best)]
         best = math.inf
         for _ in range(args.repeat):
             t0 = time.perf_counter()

@@ -9,8 +9,9 @@ uncentered map fed to the Schwarz bound).
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,22 +55,7 @@ class VerdictRecord:
     inconclusive: bool = False
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "check_name": self.check_name,
-                "map_id": self.map_id,
-                "r": self.r,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "slack": self.slack,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "resolution": self.resolution,
-                "inconclusive": self.inconclusive,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def make_verdict(

@@ -231,4 +231,18 @@ class TestEstimateMetadata:
 
         est = da.exact_family_area("identity", 0.5)
         doc = json.loads(est.to_json())
-        assert set(doc) == {"value", "method", "resolution", "error_indicator"}
+        assert list(doc) == ["value", "method", "resolution", "error_indicator"]
+        assert est.to_json() == (
+            '{"value": 0.7853981633974483, "method": "exact", "resolution": 0, "error_indicator": 0.0}'
+        )
+
+    @pytest.mark.parametrize("method", [da.area_kernel_direct, da.area_kernel_fft])
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_kernel_methods_reject_fewer_than_two_samples(self, method, m):
+        with pytest.raises(ValueError, match="n_samples"):
+            method(da.make_identity(), 0.5, m)
+
+    @pytest.mark.parametrize("method", [da.area_kernel_direct, da.area_kernel_fft])
+    def test_kernel_methods_accept_two_samples(self, method):
+        est = method(da.make_identity(), 0.5, 2)
+        assert est.resolution == 2 and math.isfinite(est.value)

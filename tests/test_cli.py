@@ -59,6 +59,14 @@ class TestAreaCommand:
         code, _, _ = run_cli(capsys, "area", "--family", "identity", "--r", "0.99")
         assert code == 64
 
+    def test_usage_error_on_too_few_kernel_samples(self, capsys):
+        for method in ("kernel-fft", "kernel-direct"):
+            for resolution in ("0", "1"):
+                code, out, err = run_cli(capsys, "area", "--family", "identity", "--r", "0.5",
+                                         "--method", method, "--resolution", resolution)
+                assert code == 64, (method, resolution)
+                assert "n_samples" in err and out == ""
+
     def test_usage_error_on_missing_args(self, capsys):
         code, _, _ = run_cli(capsys, "area", "--family", "identity")
         assert code == 64
@@ -138,8 +146,7 @@ class TestBenchCommand:
         assert code == 0
         rows = parse_csv(out)
         methods = {row["method"] for row in rows}
-        assert "kernel-fft" in methods
-        assert any(m.startswith("kernel-direct[") for m in methods)
+        assert methods == {"kernel-fft", "kernel-direct"}
         for row in rows:
             assert float(row["rel_diff_vs_fft"]) <= 1e-10
 
@@ -147,3 +154,10 @@ class TestBenchCommand:
         code, out, _ = run_cli(capsys, "bench", "--sizes", "256", "--repeat", "1")
         rows = parse_csv(out)
         assert {row["resolution"] for row in rows} == {"256"}
+
+    def test_usage_errors(self, capsys):
+        for argv in (("--repeat", "0", "--sizes", "64"), ("--repeat", "-1", "--sizes", "64"),
+                     ("--sizes", "0"), ("--sizes", "64,1")):
+            code, out, err = run_cli(capsys, "bench", *argv)
+            assert code == 64, argv
+            assert "usage error" in err and out == ""

@@ -2,34 +2,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diskarea as da
-from diskarea import _pair_sums_np, pair_sums
+from diskarea import pair_sums
+from diskarea.area import _kernel_direct_value, _kernel_fft_value
 
 TWO_PI = 2.0 * math.pi
 
 
-def _inputs(seed, m):
+def _inputs(seed, m, degree=1):
     rng = np.random.default_rng(seed)
     kern = rng.standard_normal(m)
     xi = np.sort(rng.uniform(0, TWO_PI, m))
-    lift2 = np.concatenate([xi, xi + TWO_PI])
+    lift2 = np.concatenate([xi, xi + degree * TWO_PI])
     alphas = np.arange(m) * (TWO_PI / m)
     return kern, alphas, xi, lift2
 
 
 def _sin_pair_sum_reference(kern, xi):
     m = xi.size
-    total = 0.0
     idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
     return float(np.sum(kern[idx] * np.sin(xi[:, None] - xi[None, :])))
 
 
+def _gap_pair_sums_reference(kern, alphas, lift2):
+    """Dense O(M^2) form: every g[j, k] = lift2[j + k] - lift2[k] is built."""
+    m = kern.size
+    js = np.arange(m)[:, None]
+    ks = np.arange(m)[None, :]
+    g = lift2[js + ks] - lift2[ks]
+    a = alphas[:, None]
+    diff = g - a
+    cos_ref = float(np.sum(kern[:, None] * diff * np.cos(a)))
+    gap_ref = float(np.sum(kern[:, None] * (np.sin(a) + diff * np.cos(a) - np.sin(g))))
+    return cos_ref, gap_ref
+
+
 class TestNumpyFallback:
+    """The pair sums against dense and loop references."""
+
     @pytest.mark.parametrize("m", [8, 64, 300])
     def test_sin_pair_sum_against_dense_reference(self, m):
         kern, _, xi, _ = _inputs(m, m)
-        got = _pair_sums_np.sin_pair_sum(kern, xi)
+        got = pair_sums.sin_pair_sum(kern, xi)
         want = _sin_pair_sum_reference(kern, xi)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -44,54 +61,45 @@ class TestNumpyFallback:
                 diff = g - alphas[j]
                 cos_ref += kern[j] * diff * math.cos(alphas[j])
                 gap_ref += kern[j] * (math.sin(alphas[j]) + diff * math.cos(alphas[j]) - math.sin(g))
-        got_cos, got_gap = _pair_sums_np.gap_pair_sums(kern, alphas, lift2)
+        got_cos, got_gap = pair_sums.gap_pair_sums(kern, alphas, lift2)
         assert abs(got_cos - cos_ref) < 1e-10
         assert abs(got_gap - gap_ref) < 1e-10
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            _pair_sums_np.sin_pair_sum(np.zeros(4), np.zeros(5))
+            pair_sums.sin_pair_sum(np.zeros(4), np.zeros(5))
         with pytest.raises(ValueError):
-            _pair_sums_np.gap_pair_sums(np.zeros(4), np.zeros(4), np.zeros(7))
+            pair_sums.gap_pair_sums(np.zeros(4), np.zeros(4), np.zeros(7))
 
 
-@pytest.mark.skipif(not pair_sums.HAVE_COMPILED, reason="compiled core not built")
-class TestCompiledBackend:
-    @pytest.mark.parametrize("m", [8, 128, 777])
-    def test_sin_pair_sum_matches_numpy(self, m):
-        kern, _, xi, _ = _inputs(m, m)
-        a = pair_sums.implementations()["compiled"].sin_pair_sum(kern, xi)
-        b = _pair_sums_np.sin_pair_sum(kern, xi)
-        assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
+class TestFFTAgainstDense:
+    """The FFT forms against the dense O(M^2) sums, over sizes odd and even."""
 
-    @pytest.mark.parametrize("m", [8, 128, 512])
-    def test_gap_pair_sums_match_numpy(self, m):
-        kern, alphas, xi, lift2 = _inputs(m + 1, m)
-        a = pair_sums.implementations()["compiled"].gap_pair_sums(kern, alphas, lift2)
-        b = _pair_sums_np.gap_pair_sums(kern, alphas, lift2)
-        assert abs(a[0] - b[0]) <= 1e-9 * max(1.0, abs(b[0]))
-        assert abs(a[1] - b[1]) <= 1e-9 * max(1.0, abs(b[1]))
+    # degree > 1 makes the increment sums D_j large; at degree 1 they vanish
+    # on matched grids, and an error in them would go unseen
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 3))
+    @example(m=1, seed=0, degree=1)
+    @example(m=2, seed=0, degree=2)
+    @example(m=599, seed=1, degree=1)
+    @example(m=600, seed=2, degree=3)
+    def test_gap_pair_sums(self, m, seed, degree):
+        kern, alphas, _, lift2 = _inputs(seed, m, degree)
+        got = pair_sums.gap_pair_sums(kern, alphas, lift2)
+        want = _gap_pair_sums_reference(kern, alphas, lift2)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
 
-    def test_shape_validation(self):
-        impl = pair_sums.implementations()["compiled"]
-        with pytest.raises(ValueError):
-            impl.sin_pair_sum(np.zeros(4), np.zeros(5))
-        with pytest.raises(ValueError):
-            impl.gap_pair_sums(np.zeros(4), np.zeros(4), np.zeros(7))
-
-
-class TestBackendSelection:
-    def test_module_exposes_selected_backend(self):
-        assert pair_sums.BACKEND in ("compiled", "numpy")
-        assert pair_sums.BACKEND == ("compiled" if pair_sums.HAVE_COMPILED else "numpy")
-
-    def test_area_accepts_explicit_backend(self, mollified_map):
-        by_default = da.area_kernel_direct(mollified_map, 0.6, 256).value
-        by_numpy = da.area_kernel_direct(mollified_map, 0.6, 256, backend=_pair_sums_np).value
-        assert abs(by_default - by_numpy) <= 1e-11 * abs(by_default)
-
-    def test_proof_checks_accept_explicit_backend(self):
-        bmap = da.make_random_homeomorphism(2)
-        a = da.cos_identity_residual(bmap, 0.5, 256)
-        b = da.cos_identity_residual(bmap, 0.5, 256, backend=_pair_sums_np)
-        assert abs(a - b) < 1e-12
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 600),
+        seed=st.integers(0, 10_000),
+        r=st.floats(0.1, 0.9),
+    )
+    @example(m=1, seed=0, r=0.5)
+    @example(m=511, seed=3, r=0.9)
+    def test_kernel_fft_value_matches_direct(self, m, seed, r):
+        bmap = da.make_random_homeomorphism(seed, roughness=0.5)
+        got = _kernel_fft_value(bmap, r, m)
+        want = _kernel_direct_value(bmap, r, m)
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)

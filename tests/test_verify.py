@@ -157,10 +157,10 @@ class TestVerdictPlumbing:
         doc = json.loads(rec.to_json())
         assert doc["check_name"] == "area-contraction"
         assert doc["passed"] is True
-        assert set(doc) == {
+        assert list(doc) == [
             "check_name", "map_id", "r", "lhs", "rhs", "slack",
             "tolerance", "passed", "resolution", "inconclusive",
-        }
+        ]
 
     def test_ge_direction(self):
         rec = da.verify.make_verdict("x", "", 0.5, 3.0, 2.0, 0.1, 1, direction="ge")
