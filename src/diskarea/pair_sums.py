@@ -6,12 +6,12 @@ the sine of lift differences.  ``gap_pair_sums`` and the FFT area estimator
 reduce that part to the circular sine lag sums of :func:`_sine_lag_sums`,
 which cost O(M log M).  ``sin_pair_sum`` is the dense O(M^2) form of the area
 sum; it is the ``kernel-direct`` area estimator and the oracle the FFT path
-is checked against.
+is checked against.  It expands sin(xi_j - xi_k) into sines and cosines of
+single samples and takes the two resulting circular convolutions by direct
+summation, so it shares nothing with the FFT path and needs O(M) memory.
 """
 
 import numpy as np
-
-_BLOCK = 256
 
 
 def _sine_lag_sums(xi):
@@ -24,25 +24,36 @@ def _sine_lag_sums(xi):
     return np.fft.ifft(f.real * f.real + f.imag * f.imag).imag
 
 
+def _circular_convolve(kernel_row, v):
+    """(K * v)[j] = sum over k of kernel_row[(j - k) mod M] * v[k], by direct summation.
+
+    v[1:] followed by v reads v circularly from index 1, so the 'valid' part of
+    its linear convolution with the kernel row is the circular convolution.
+    ``np.convolve`` is direct: one dot product per output, never an FFT.
+    """
+    return np.convolve(np.concatenate((v[1:], v)), kernel_row, "valid")
+
+
 def sin_pair_sum(kernel_row, xi):
     """sum over j,k of kernel_row[(j - k) mod M] * sin(xi[j] - xi[k]).
 
-    Dense O(M^2) evaluation, in row blocks that keep the working set below
-    about 32 MB whatever M is.
+    Dense O(M^2) direct sum.  With s = sin(xi) and c = cos(xi),
+    sin(xi[j] - xi[k]) = s[j] c[k] - c[j] s[k], so the sum is
+    s . (K * c) - c . (K * s) for the circular convolution K * v of
+    :func:`_circular_convolve`: M sines, M cosines and O(M) memory.
     """
-    kernel_row = np.ascontiguousarray(kernel_row, dtype=float)
+    kernel_row = np.array(kernel_row, dtype=float, ndmin=1)  # a copy: lag 0 is zeroed below
     xi = np.ascontiguousarray(xi, dtype=float)
     m = xi.size
     if kernel_row.size != m:
         raise ValueError("kernel_row and xi must have equal length")
-    ks = np.arange(m)
-    acc = 0.0
-    for j0 in range(0, m, _BLOCK):
-        j1 = min(j0 + _BLOCK, m)
-        js = np.arange(j0, j1)
-        idx = (js[:, None] - ks[None, :]) % m
-        acc += float(np.sum(kernel_row[idx] * np.sin(xi[j0:j1, None] - xi[None, :])))
-    return acc
+    if m == 0:
+        return 0.0
+    # lag 0 pairs each sample with itself, where the sine is exactly 0
+    kernel_row[0] = 0.0
+    s = np.sin(xi)
+    c = np.cos(xi)
+    return float(np.dot(s, _circular_convolve(kernel_row, c)) - np.dot(c, _circular_convolve(kernel_row, s)))
 
 
 def gap_pair_sums(kernel_row, alphas, lift2):

@@ -67,6 +67,13 @@ class TestAreaCommand:
                 assert code == 64, (method, resolution)
                 assert "n_samples" in err and out == ""
 
+    def test_hypothesis_violation_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "area", "--family", "shear:0.3", "--r", "0.5",
+                                 "--method", "kernel-fft")
+        assert code == 65
+        assert err.startswith("hypothesis violation: ")
+        assert "usage error" not in err and out == ""
+
     def test_usage_error_on_missing_args(self, capsys):
         code, _, _ = run_cli(capsys, "area", "--family", "identity")
         assert code == 64
@@ -161,3 +168,23 @@ class TestBenchCommand:
             code, out, err = run_cli(capsys, "bench", *argv)
             assert code == 64, argv
             assert "usage error" in err and out == ""
+
+    def test_radius_outside_open_disk_usage_error(self, capsys):
+        for r in ("0", "1", "-0.5"):
+            code, out, err = run_cli(capsys, "bench", "--sizes", "64", "--repeat", "1", "--r", r)
+            assert code == 64, r
+            assert "usage error" in err and out == ""
+
+    def test_direct_row_is_the_kernel_direct_estimate(self, capsys):
+        import json
+
+        import diskarea as da
+
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "64,300", "--repeat", "1", "--format", "jsonl")
+        assert code == 0
+        bmap = da.mollify_map(da.make_random_homeomorphism(7, roughness=0.5))
+        rows = [json.loads(line) for line in out.splitlines()]
+        direct = [row for row in rows if row["method"] == "kernel-direct"]
+        assert [row["resolution"] for row in direct] == [64, 300]
+        for row in direct:
+            assert row["value"] == da.area_kernel_direct(bmap, 0.6, row["resolution"]).value

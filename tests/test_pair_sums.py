@@ -72,6 +72,61 @@ class TestNumpyFallback:
             pair_sums.gap_pair_sums(np.zeros(4), np.zeros(4), np.zeros(7))
 
 
+class TestDenseSinPairSum:
+    """The direct-convolution ``sin_pair_sum`` against the pair-by-pair reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 3))
+    @example(m=399, seed=1, degree=1)
+    @example(m=400, seed=2, degree=3)
+    def test_matches_reference(self, m, seed, degree):
+        # a kernel row that is not odd, so a reversed convolution shows
+        rng = np.random.default_rng(seed)
+        kern = rng.standard_normal(m)
+        xi = np.sort(rng.uniform(0, degree * TWO_PI, m))
+        got = pair_sums.sin_pair_sum(kern, xi)
+        want = _sin_pair_sum_reference(kern, xi)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_single_sample_is_zero(self):
+        assert pair_sums.sin_pair_sum([2.5], [0.3]) == 0.0
+
+    def test_two_samples(self):
+        # the lags +1 and -1 coincide, so the two pairs cancel for any kernel
+        assert abs(pair_sums.sin_pair_sum([0.7, -1.9], [0.4, 2.3])) <= 1e-15
+
+    def test_three_samples_closed_form(self):
+        kern, xi = np.array([0.3, 1.1, -0.4]), np.array([0.2, 1.7, 4.0])
+        cyc = math.sin(xi[1] - xi[0]) + math.sin(xi[2] - xi[1]) + math.sin(xi[0] - xi[2])
+        want = (kern[1] - kern[2]) * cyc
+        assert abs(pair_sums.sin_pair_sum(kern, xi) - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_never_uses_the_fft(self, monkeypatch):
+        kern, _, xi, _ = _inputs(5, 257)
+        want = _sin_pair_sum_reference(kern, xi)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense pair sum must not use the FFT")
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        monkeypatch.setattr(pair_sums, "_sine_lag_sums", forbidden)
+        got = pair_sums.sin_pair_sum(kern, xi)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("m", [777, 4096])
+    def test_bit_identical_across_calls_and_offsets(self, m):
+        kern, _, xi, _ = _inputs(11, m)
+        first = pair_sums.sin_pair_sum(kern, xi)
+        assert pair_sums.sin_pair_sum(kern, xi) == first
+        kbuf = np.zeros(m + 3)
+        xbuf = np.zeros(m + 5)
+        for k_off, x_off in ((1, 1), (1, 3), (2, 4), (3, 0)):
+            kbuf[k_off : k_off + m] = kern
+            xbuf[x_off : x_off + m] = xi
+            assert pair_sums.sin_pair_sum(kbuf[k_off : k_off + m], xbuf[x_off : x_off + m]) == first
+
+
 class TestFFTAgainstDense:
     """The FFT forms against the dense O(M^2) sums, over sizes odd and even."""
 
