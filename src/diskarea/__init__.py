@@ -60,6 +60,7 @@ from .proof_checks import (
     MonotoneProfile,
     check_gap_double_integral,
     check_mirror_pair_identity,
+    check_profile_family,
     check_reduction_chain,
     check_tangent_gap_signs,
     cos_identity_residual,

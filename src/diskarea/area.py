@@ -44,6 +44,10 @@ FAMILY_SHEAR = "shear"
 FAMILY_MOBIUS = "mobius"
 
 
+class HypothesisViolationError(ValueError):
+    """The input breaks the hypothesis of the statement, not the statement itself."""
+
+
 @dataclass(frozen=True)
 class AreaEstimate:
     """One computed area with its method, resolution and convergence proxy."""
@@ -189,7 +193,7 @@ def area_jacobian_grid(
     r = _check_radius(r, allow_zero=False)
     if isinstance(source, BoundaryMap):
         if source.kind != HOMEOMORPHISM:
-            raise ValueError("Jacobian-grid area requires a homeomorphism boundary map")
+            raise HypothesisViolationError("Jacobian-grid area requires a homeomorphism boundary map")
         coeffs = _coeffs_for(source, order)
     else:
         coeffs = source

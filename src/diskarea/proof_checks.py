@@ -9,6 +9,7 @@ so the argument's skeleton doubles as a property-test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,27 @@ from .area import area_kernel
 from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, eval_lift
 from .poisson import _check_radius
 from .verify import VerdictRecord, make_verdict
+
+_PROFILE_CELLS = 512  # cells of every profile the family check draws
+_PROFILE_BLOCK = 64  # profile rows held at once by check_profile_family
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(n_points: int) -> np.ndarray:
+    """Uniform grid of n_points angles on [0, 2*pi]; built once per size, read-only."""
+    a = np.linspace(0.0, TWO_PI, n_points)
+    a.setflags(write=False)
+    return a
+
+
+def _checked_rows(values) -> np.ndarray:
+    """Copy of profile samples (one profile per row of the last axis), checked
+    nondecreasing to 1e-12 and clamped into [0, 2*pi]."""
+    v = np.array(values, dtype=float, order="C")
+    if np.any(np.diff(v, axis=-1) < -1e-12):
+        raise ValueError("profile must be nondecreasing")
+    np.clip(v, 0.0, TWO_PI, out=v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -33,12 +55,10 @@ class MonotoneProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float).copy()
+        v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 3 or v.size % 2 == 0:
             raise ValueError("values must be a 1-d array of odd length (even cell count)")
-        if np.any(np.diff(v) < -1e-12):
-            raise ValueError("profile must be nondecreasing")
-        np.clip(v, 0.0, TWO_PI, out=v)
+        v = _checked_rows(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -48,7 +68,8 @@ class MonotoneProfile:
 
     @property
     def alphas(self) -> np.ndarray:
-        return np.linspace(0.0, TWO_PI, self.values.size)
+        """The sample angles; one shared read-only array per grid size."""
+        return _grid(self.values.size)
 
     def __call__(self, alpha):
         return np.interp(alpha, self.alphas, self.values)
@@ -62,6 +83,22 @@ def reflect_profile(g: MonotoneProfile) -> MonotoneProfile:
     return MonotoneProfile(TWO_PI - g.values[::-1])
 
 
+def _reflected_rows(v: np.ndarray) -> np.ndarray:
+    """:func:`reflect_profile` of every row of v."""
+    return _checked_rows(TWO_PI - v[:, ::-1])
+
+
+def _canonical_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of v (profiles on a common grid) with G(pi) > pi replaced by their
+    reflection; the integrals of the reduction are taken on this form."""
+    flip = v[:, (v.shape[1] - 1) // 2] > math.pi
+    if not flip.any():
+        return v
+    v = v.copy()
+    v[flip] = _reflected_rows(v[flip])
+    return v
+
+
 def increment_profile(bmap: BoundaryMap, t: float, n_cells: int = 512) -> MonotoneProfile:
     """Profile alpha -> lift(alpha + t) - lift(t) of a boundary correspondence.
 
@@ -70,7 +107,7 @@ def increment_profile(bmap: BoundaryMap, t: float, n_cells: int = 512) -> Monoto
     """
     if n_cells % 2:
         raise ValueError("n_cells must be even")
-    alphas = np.linspace(0.0, TWO_PI, n_cells + 1)
+    alphas = _grid(n_cells + 1)
     base = eval_lift(bmap, float(t))
     vals = eval_lift(bmap, float(t) + alphas) - base
     vals[0] = 0.0
@@ -82,12 +119,16 @@ def random_profile(seed: int, n_cells: int = 512, roughness: float = 1.0) -> Mon
     """Seeded nondecreasing profile from normalized positive increments."""
     if n_cells % 2:
         raise ValueError("n_cells must be even")
+    return MonotoneProfile(_random_values(seed, n_cells, roughness))
+
+
+def _random_values(seed: int, n_cells: int, roughness: float) -> np.ndarray:
     rng = np.random.default_rng(seed)
     inc = np.exp(roughness * rng.standard_normal(n_cells))
     vals = np.concatenate([[0.0], np.cumsum(inc)])
     vals *= TWO_PI / vals[-1]
     vals[-1] = TWO_PI
-    return MonotoneProfile(vals)
+    return vals
 
 
 def tangent_gap(alpha, beta):
@@ -169,8 +210,9 @@ def mirror_pair_residual(r: float, grid_n: int = 256):
     r = _check_radius(r, allow_zero=False)
     a = np.linspace(0.0, TWO_PI, grid_n + 1)
     A, B = np.meshgrid(a, a, indexing="ij")
-    lhs = area_kernel(r, A) * tangent_gap(A, B) + area_kernel(r, TWO_PI - A) * tangent_gap(TWO_PI - A, B)
-    rhs = 2.0 * area_kernel(r, A) * tangent_gap(A, math.pi)
+    kern = area_kernel(r, A)
+    lhs = kern * tangent_gap(A, B) + area_kernel(r, TWO_PI - A) * tangent_gap(TWO_PI - A, B)
+    rhs = 2.0 * kern * tangent_gap(A, math.pi)
     return float(np.max(np.abs(lhs - rhs))), float(np.min(rhs))
 
 
@@ -258,26 +300,61 @@ def profile_gap_integral(g: MonotoneProfile, r: float) -> tuple[float, float]:
     profile is integrated instead, which leaves the value unchanged.
     """
     r = _check_radius(r, allow_zero=False)
-    if g.at_midpoint() > math.pi:
-        g = reflect_profile(g)
     alphas = g.alphas
-    vals = area_kernel(r, alphas) * tangent_gap(alphas, g.values)
-    value = float(np.trapezoid(vals, alphas))
-    return value, _cutoff_angle(g)
+    v = _canonical_rows(g.values[None])
+    value = np.trapezoid(area_kernel(r, alphas) * tangent_gap(alphas, v), alphas, axis=-1)
+    return float(value[0]), float(alphas[_cutoff_indices(v, alphas)[0]])
 
 
-def _cutoff_index(g: MonotoneProfile) -> int:
-    n = g.n_cells
-    half = n // 2
-    alphas = g.alphas
-    mask = alphas[half:] + g.values[half:] <= TWO_PI
-    if not np.any(mask):
-        return half
-    return half + int(np.max(np.nonzero(mask)[0]))
+def _cutoff_indices(v: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Per row of v: the largest index i >= n/2 with alpha_i + G(alpha_i) <= 2*pi,
+    or n/2 when there is none."""
+    half = (alphas.size - 1) // 2
+    fits = alphas[half:] + v[:, half:] <= TWO_PI
+    last = fits.shape[1] - 1 - np.argmax(fits[:, ::-1], axis=1)
+    return np.where(fits.any(axis=1), half + last, half)
 
 
 def _cutoff_angle(g: MonotoneProfile) -> float:
-    return float(g.alphas[_cutoff_index(g)])
+    return float(g.alphas[_cutoff_indices(g.values[None], g.alphas)[0]])
+
+
+def _trapezoid_terms(y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The summands of ``np.trapezoid(y, alphas)`` along the last axis.
+
+    The plain sum of the slice [i:j] of a row is the trapezoid integral of
+    that row over samples i..j bit for bit: np.trapezoid forms the same terms
+    and sums them the same way.
+    """
+    return np.diff(alphas) * (y[..., 1:] + y[..., :-1]) / 2.0
+
+
+def _window_integrals(alphas, cutoffs, weighted, frozen, at_pi) -> list[tuple[float, float, float]]:
+    """(q2, q3, q4) of the reduction chain, per row.
+
+    For canonical rows with cutoff indices ``cutoffs`` at one radius:
+    ``weighted`` is K(a) gap(a, G(a)), ``frozen`` is
+    K(a) gap(a, G(pi)) per row and ``at_pi`` is K(a) gap(a, pi).  Each window
+    integral sums its own slice of the row's trapezoid terms, never a masked
+    or cumulative sum, so it equals the trapezoid integral of that window.
+    """
+    n = alphas.size - 1
+    half = n // 2
+    weighted = _trapezoid_terms(weighted, alphas)
+    frozen = _trapezoid_terms(frozen, alphas)
+    at_pi = _trapezoid_terms(at_pi, alphas)
+    out = []
+    for row, i1 in enumerate(cutoffs.tolist()):
+        q2 = float(weighted[row, n - i1 : i1].sum())
+        q3 = float(frozen[row, n - i1 : i1].sum())
+        q4 = 2.0 * float(at_pi[half:i1].sum())
+        out.append((q2, q3, q4))
+    return out
+
+
+def _chain_worst(q1: float, q2: float, q3: float, q4: float) -> float:
+    """The weakest link of q1 >= q2 >= q3 = q4 >= 0."""
+    return min(q1 - q2, q2 - q3, -abs(q3 - q4), q4)
 
 
 def check_reduction_chain(g: MonotoneProfile, r: float, tol: float = 1e-10, map_id: str = "") -> VerdictRecord:
@@ -288,23 +365,77 @@ def check_reduction_chain(g: MonotoneProfile, r: float, tol: float = 1e-10, map_
     identity.  Requires G(pi) <= pi; reflect first otherwise.
     """
     r = _check_radius(r, allow_zero=False)
-    if g.at_midpoint() > math.pi:
-        g = reflect_profile(g)
     alphas = g.alphas
-    n = g.n_cells
-    half = n // 2
-    i1 = _cutoff_index(g)
-    i0 = n - i1
+    v = _canonical_rows(g.values[None])
     kern = area_kernel(r, alphas)
-    q1 = float(np.trapezoid(kern * tangent_gap(alphas, g.values), alphas))
-    window = slice(i0, i1 + 1)
-    q2 = float(np.trapezoid(kern[window] * tangent_gap(alphas[window], g.values[window]), alphas[window]))
-    frozen = g.at_midpoint()
-    q3 = float(np.trapezoid(kern[window] * tangent_gap(alphas[window], frozen), alphas[window]))
-    upper = slice(half, i1 + 1)
-    q4 = 2.0 * float(np.trapezoid(kern[upper] * tangent_gap(alphas[upper], math.pi), alphas[upper]))
-    worst = min(q1 - q2, q2 - q3, -abs(q3 - q4), q4)
-    return make_verdict("reduction-chain", map_id, r, -worst, 0.0, tol, n)
+    weighted = kern * tangent_gap(alphas, v)
+    q1 = float(np.trapezoid(weighted, alphas, axis=-1)[0])
+    frozen = kern * tangent_gap(alphas, v[:, g.n_cells // 2, None])
+    (windows,) = _window_integrals(alphas, _cutoff_indices(v, alphas), weighted, frozen,
+                                   kern * tangent_gap(alphas, math.pi))
+    worst = _chain_worst(q1, *windows)
+    return make_verdict("reduction-chain", map_id, r, -worst, 0.0, tol, g.n_cells)
+
+
+def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> tuple[VerdictRecord, ...]:
+    """The profile checks of the proof suite over the seeded profiles
+    ``random_profile(seed)``, seeds 0..n-1, at every radius.
+
+    Returns three records, in this order:
+
+    * ``profile-gap-integral``: the smallest :func:`profile_gap_integral`
+      value over seeds ``0..n_profiles-1`` must be >= -1e-8;
+    * ``reduction-chain``: the smallest :func:`check_reduction_chain` slack
+      over seeds ``0..n_chains-1`` must be >= -1e-10;
+    * ``reflection-invariance``: the largest change of the gap integral under
+      :func:`reflect_profile` over the same seeds must be <= 1e-10.
+
+    Each record has r = max(radii) and resolution 512.  The values equal those
+    of the single-profile functions bit for bit.  Each profile is drawn once
+    and its tangent gap computed once; the kernel is built once per radius,
+    and the profiles are integrated in blocks of a fixed number of rows, which
+    bounds the working set.
+    """
+    radii = tuple(_check_radius(r, allow_zero=False) for r in radii)
+    if not radii or n_profiles < 1 or n_chains < 1:
+        raise ValueError("need at least one radius, one profile and one chain")
+    n = _PROFILE_CELLS
+    alphas = _grid(n + 1)
+    kerns = [area_kernel(r, alphas) for r in radii]
+    pi_gap = tangent_gap(alphas, math.pi)
+    n_seeds = max(n_profiles, n_chains)
+    integrals, worsts, reflection = [], [], []  # seed-major, radius-minor
+    for start in range(0, n_seeds, _PROFILE_BLOCK):
+        raw = _checked_rows([_random_values(seed, n, 1.0)
+                             for seed in range(start, min(start + _PROFILE_BLOCK, n_seeds))])
+        v = _canonical_rows(raw)
+        c = min(len(v), max(0, n_chains - start))  # leading rows that also carry a chain
+        gap = tangent_gap(alphas, v)
+        mirrored = tangent_gap(alphas, _canonical_rows(_reflected_rows(raw[:c])))
+        frozen = tangent_gap(alphas, v[:c, n // 2, None])
+        cutoffs = _cutoff_indices(v[:c], alphas)
+        q1 = np.empty((len(v), len(radii)))
+        drift = np.empty((c, len(radii)))
+        worst = np.empty((c, len(radii)))
+        for j, kern in enumerate(kerns):
+            weighted = kern * gap
+            q1[:, j] = np.trapezoid(weighted, alphas, axis=-1)
+            drift[:, j] = np.abs(q1[:c, j] - np.trapezoid(kern * mirrored, alphas, axis=-1))
+            windows = _window_integrals(alphas, cutoffs, weighted, kern * frozen, kern * pi_gap)
+            worst[:, j] = [_chain_worst(q, *w) for q, w in zip(q1[:c, j].tolist(), windows)]
+        integrals += q1.ravel().tolist()
+        reflection += drift.ravel().tolist()
+        worsts += worst.ravel().tolist()
+    r = max(radii)
+    return (
+        make_verdict("profile-gap-integral", f"random-profiles:{n_profiles}", r,
+                     -min(integrals[: n_profiles * len(radii)]), 0.0, 1e-8, n),
+        # each chain's slack as its own record holds it, 0 - (-worst)
+        make_verdict("reduction-chain", f"random-profiles:{n_chains}", r,
+                     -min(0.0 - -w for w in worsts), 0.0, 1e-10, n),
+        make_verdict("reflection-invariance", f"random-profiles:{n_chains}", r,
+                     max([0.0] + reflection), 0.0, 1e-10, n),
+    )
 
 
 def strict_interior_positivity(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> float:

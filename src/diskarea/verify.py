@@ -18,6 +18,7 @@ import numpy as np
 from .area import (
     GREEN_SPECTRAL,
     AreaEstimate,
+    HypothesisViolationError,
     area_green_quadrature,
     area_green_spectral,
     area_jacobian_grid,
@@ -33,10 +34,6 @@ from .poisson import (
     fourier_from_boundary,
     wirtinger_on_circle,
 )
-
-
-class HypothesisViolationError(ValueError):
-    """The input breaks the hypothesis of the statement, not the statement itself."""
 
 
 @dataclass(frozen=True)

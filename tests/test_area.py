@@ -124,6 +124,14 @@ class TestJacobianGrid:
         with pytest.raises(ValueError):
             da.area_jacobian_grid(step_two_jump, 0.5)
 
+    def test_step_map_rejected_as_hypothesis_violation(self, step_two_jump):
+        from diskarea import area, verify
+
+        assert verify.HypothesisViolationError is area.HypothesisViolationError is da.HypothesisViolationError
+        assert issubclass(da.HypothesisViolationError, ValueError)
+        with pytest.raises(da.HypothesisViolationError):
+            da.area_jacobian_grid(step_two_jump, 0.5)
+
     def test_all_rings_match_ring_by_ring_reference(self, mollified_map):
         # the per-ring loop the one-call evaluation replaced, kept as the reference
         coeffs = da.fourier_from_boundary(mollified_map, order=64)

@@ -74,6 +74,13 @@ class TestAreaCommand:
         assert err.startswith("hypothesis violation: ")
         assert "usage error" not in err and out == ""
 
+    def test_step_map_jacobian_is_a_hypothesis_violation(self, capsys):
+        code, out, err = run_cli(capsys, "area", "--family", "step:1.5707963,4.712389@3.14159,6.2831853",
+                                 "--r", "0.5", "--method", "jacobian")
+        assert code == 65
+        assert err.startswith("hypothesis violation: ")
+        assert out == ""
+
     def test_usage_error_on_missing_args(self, capsys):
         code, _, _ = run_cli(capsys, "area", "--family", "identity")
         assert code == 64

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import diskarea as da
+from diskarea import proof_checks as pc
 from diskarea.proof_checks import _cutoff_angle
+from diskarea.verify import make_verdict
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,3 +267,179 @@ class TestChangeOfVariables:
                 ident = da.area_kernel_direct(da.make_identity(), r, m).value
                 mapped = da.area_kernel_direct(bmap, r, m).value
                 assert abs((ident - mapped) - rec.slack / (4 * math.pi)) < 1e-10
+
+
+def _reference_gap_integral(g, r):
+    """The profile gap integral on 1-d arrays, reflecting through reflect_profile."""
+    if g.at_midpoint() > math.pi:
+        g = da.reflect_profile(g)
+    a = np.linspace(0.0, TWO_PI, g.values.size)
+    return float(np.trapezoid(da.area_kernel(r, a) * da.tangent_gap(a, g.values), a))
+
+
+def _reference_chain(g, r):
+    """(q1, q2, q3, q4) of the reduction chain on 1-d arrays, each window sliced first."""
+    if g.at_midpoint() > math.pi:
+        g = da.reflect_profile(g)
+    a = np.linspace(0.0, TWO_PI, g.values.size)
+    n = g.values.size - 1
+    half = n // 2
+    fits = np.nonzero(a[half:] + g.values[half:] <= TWO_PI)[0]
+    i1 = half + int(fits.max()) if fits.size else half
+    kern = da.area_kernel(r, a)
+    w, up = slice(n - i1, i1 + 1), slice(half, i1 + 1)
+    q1 = float(np.trapezoid(kern * da.tangent_gap(a, g.values), a))
+    q2 = float(np.trapezoid(kern[w] * da.tangent_gap(a[w], g.values[w]), a[w]))
+    q3 = float(np.trapezoid(kern[w] * da.tangent_gap(a[w], g.at_midpoint()), a[w]))
+    q4 = 2.0 * float(np.trapezoid(kern[up] * da.tangent_gap(a[up], math.pi), a[up]))
+    return q1, q2, q3, q4
+
+
+def _profile_family_loop(radii, n_profiles, n_chains):
+    """The three profile records, one profile and one radius at a time."""
+    worst_profile = min(
+        da.profile_gap_integral(da.random_profile(seed), r)[0] for seed in range(n_profiles) for r in radii
+    )
+    worst_chain, worst_reflect = math.inf, 0.0
+    for seed in range(n_chains):
+        g = da.random_profile(seed)
+        for r in radii:
+            worst_chain = min(worst_chain, da.check_reduction_chain(g, r).slack)
+            v1, _ = da.profile_gap_integral(g, r)
+            v2, _ = da.profile_gap_integral(da.reflect_profile(g), r)
+            worst_reflect = max(worst_reflect, abs(v1 - v2))
+    return (
+        make_verdict("profile-gap-integral", f"random-profiles:{n_profiles}", max(radii),
+                     -worst_profile, 0.0, 1e-8, 512),
+        make_verdict("reduction-chain", f"random-profiles:{n_chains}", max(radii), -worst_chain, 0.0, 1e-10, 512),
+        make_verdict("reflection-invariance", f"random-profiles:{n_chains}", max(radii),
+                     worst_reflect, 0.0, 1e-10, 512),
+    )
+
+
+EDGE_PROFILES = {
+    "identity": np.linspace(0.0, TWO_PI, 513),
+    "zero": np.zeros(513),
+    "constant-2pi": np.full(513, TWO_PI),
+    "midpoint-above-pi": np.minimum(np.linspace(0.0, TWO_PI, 513) + 4.0, TWO_PI),
+    "clamped-diagonal": np.minimum(np.linspace(0.0, TWO_PI, 513), math.pi),
+}
+
+
+class TestProfileFamily:
+    @pytest.mark.parametrize("radii", [(0.25, 0.5, 0.75, 0.9), (0.3, 0.6, 0.9)])
+    @pytest.mark.parametrize("n_profiles,n_chains", [(130, 70), (64, 129), (1, 1)])
+    def test_matches_single_profile_loop(self, radii, n_profiles, n_chains):
+        got = pc.check_profile_family(radii, n_profiles=n_profiles, n_chains=n_chains)
+        want = _profile_family_loop(radii, n_profiles, n_chains)
+        assert [rec.to_json() for rec in got] == [rec.to_json() for rec in want]
+
+    def test_proof_suite_defaults_match_single_profile_loop(self):
+        radii = (0.25, 0.5, 0.75, 0.9)
+        got = pc.check_profile_family(radii)
+        assert [rec.to_json() for rec in got] == [rec.to_json() for rec in _profile_family_loop(radii, 500, 200)]
+        assert all(rec.passed for rec in got)
+
+    def test_block_size_does_not_change_records(self, monkeypatch):
+        radii = (0.3, 0.9)
+        want = [rec.to_json() for rec in pc.check_profile_family(radii, 40, 25)]
+        for block in (1, 7, 40, 1000):
+            monkeypatch.setattr(pc, "_PROFILE_BLOCK", block)
+            assert [rec.to_json() for rec in pc.check_profile_family(radii, 40, 25)] == want
+
+    def test_non_monotone_row_raises(self, monkeypatch):
+        draw = pc._random_values
+
+        def dented(seed, n_cells, roughness):
+            vals = draw(seed, n_cells, roughness)
+            if seed == 70:  # second block, past the chains
+                vals[300] = vals[299] - 1e-9
+            return vals
+
+        monkeypatch.setattr(pc, "_random_values", dented)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            pc.check_profile_family((0.5,), n_profiles=80, n_chains=10)
+        pc.check_profile_family((0.5,), n_profiles=70, n_chains=10)
+
+    def test_rejects_empty_counts_and_bad_radii(self):
+        for kwargs in ({"n_profiles": 0}, {"n_chains": 0}):
+            with pytest.raises(ValueError):
+                pc.check_profile_family((0.5,), **kwargs)
+        for radii in ((), (0.0,), (1.0,)):
+            with pytest.raises(ValueError):
+                pc.check_profile_family(radii, 2, 2)
+
+
+class TestBatchedProfileHelpers:
+    def test_rows_agree_with_single_profile_calls(self):
+        block = pc._checked_rows(list(EDGE_PROFILES.values()) + [pc._random_values(s, 512, 1.0) for s in range(4)])
+        v = pc._canonical_rows(block)
+        a = pc._grid(513)
+        cutoffs = pc._cutoff_indices(v, a)
+        gap = da.tangent_gap(a, v)
+        frozen = da.tangent_gap(a, v[:, 256, None])
+        for r in (0.3, 0.6, 0.9):
+            kern = da.area_kernel(r, a)
+            q1 = np.trapezoid(kern * gap, a, axis=-1)
+            windows = pc._window_integrals(a, cutoffs, kern * gap, kern * frozen, kern * da.tangent_gap(a, math.pi))
+            for row, vals in enumerate(block):
+                g = da.MonotoneProfile(vals)
+                value, cutoff = da.profile_gap_integral(g, r)
+                assert q1[row] == value == _reference_gap_integral(g, r)
+                assert a[cutoffs[row]] == cutoff
+                assert (value, *windows[row]) == _reference_chain(g, r)
+                worst = pc._chain_worst(value, *windows[row])
+                assert da.check_reduction_chain(g, r).slack == 0.0 - (-worst)
+
+    def test_random_profiles_agree_with_one_dimensional_reference(self):
+        for seed in range(40):
+            g = da.random_profile(seed)
+            for h in (g, da.reflect_profile(g)):
+                for r in (0.25, 0.75, 0.9):
+                    assert da.profile_gap_integral(h, r)[0] == _reference_gap_integral(h, r)
+                    assert da.check_reduction_chain(h, r).lhs == -pc._chain_worst(*_reference_chain(h, r))
+
+    def test_edge_cutoffs(self):
+        a = pc._grid(513)
+        raw = np.array([EDGE_PROFILES[k] for k in ("identity", "zero", "constant-2pi")])
+        # identity: only alpha = pi fits; zero: every angle fits; the constant
+        # 2*pi row (before reflection) has no fitting angle, so n/2
+        assert pc._cutoff_indices(raw, a).tolist() == [256, 512, 256]
+        # the constant 2*pi profile reflects to the zero profile
+        v = pc._canonical_rows(raw)
+        assert np.array_equal(v[2], np.zeros(513))
+        assert pc._cutoff_indices(v, a).tolist() == [256, 512, 512]
+
+    def test_non_monotone_row_raises(self):
+        rows = np.array([EDGE_PROFILES["identity"], EDGE_PROFILES["identity"]])
+        rows[1, 10] = rows[1, 9] - 1e-9
+        with pytest.raises(ValueError, match="nondecreasing"):
+            pc._checked_rows(rows)
+        rows[1, 10] = rows[1, 9] - 1e-13  # within the 1e-12 allowance
+        assert pc._checked_rows(rows).shape == rows.shape
+
+    def test_clamp_is_applied_per_row(self):
+        rows = np.array([np.linspace(-1.0, 7.0, 513), np.linspace(0.0, TWO_PI, 513)])
+        out = pc._checked_rows(rows)
+        assert out.min() == 0.0 and out.max() == TWO_PI
+        assert np.array_equal(out[0], da.MonotoneProfile(rows[0]).values)
+
+
+class TestSharedGrid:
+    def test_alphas_shared_and_read_only(self):
+        g, h = da.random_profile(1), da.MonotoneProfile(np.zeros(513))
+        assert g.alphas is h.alphas
+        assert not g.alphas.flags.writeable
+        assert np.array_equal(g.alphas, np.linspace(0.0, TWO_PI, 513))
+        assert da.MonotoneProfile(np.zeros(9)).alphas.size == 9
+
+    def test_mirror_pair_residual_unchanged_by_kernel_reuse(self):
+        for r, n in ((0.3, 256), (0.7, 128), (0.9, 64)):
+            a = np.linspace(0.0, TWO_PI, n + 1)
+            A, B = np.meshgrid(a, a, indexing="ij")
+            lhs = da.area_kernel(r, A) * da.tangent_gap(A, B) + da.area_kernel(r, TWO_PI - A) * da.tangent_gap(
+                TWO_PI - A, B
+            )
+            rhs = 2.0 * da.area_kernel(r, A) * da.tangent_gap(A, math.pi)
+            want = (float(np.max(np.abs(lhs - rhs))), float(np.min(rhs)))
+            assert da.mirror_pair_residual(r, n) == want
