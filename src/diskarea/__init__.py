@@ -13,6 +13,7 @@ from .area import (
     KERNEL_DIRECT,
     KERNEL_FFT,
     METHODS,
+    REGISTRY,
     AreaEstimate,
     area_green_quadrature,
     area_green_spectral,
@@ -21,6 +22,7 @@ from .area import (
     area_kernel_defining_integral,
     area_kernel_direct,
     area_kernel_fft,
+    estimate_area,
     exact_family_area,
     family_boundary_map,
     family_coeffs,
@@ -79,7 +81,6 @@ from .verify import (
     boundary_jacobian_integral,
     check_area_contraction,
     equality_slack,
-    estimate_area,
     holomorphic_convexity_check,
     lift_identity_deviation,
     schwarz_bound,

@@ -7,6 +7,9 @@ rearrangement of the same finite sum costing O(M log M), and midpoint
 integration of the Jacobian determinant on a polar grid.  Closed forms for
 the exact test families round out the set.  All values are absolute areas:
 the identity at radius r gives pi * r^2.
+
+:data:`REGISTRY` is the one table of these methods, and
+:func:`estimate_area` the one way to run a method by name.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +40,37 @@ KERNEL_FFT = "kernel-fft"
 JACOBIAN_GRID = "jacobian"
 EXACT_FAMILY = "exact"
 
-METHODS = (GREEN_SPECTRAL, GREEN_QUADRATURE, KERNEL_DIRECT, KERNEL_FFT, JACOBIAN_GRID, EXACT_FAMILY)
-
 FAMILY_IDENTITY = "identity"
 FAMILY_ROTATION = "rotation"
 FAMILY_SHEAR = "shear"
 FAMILY_MOBIUS = "mobius"
+
+CLOSED_FORM_FAMILIES = (FAMILY_IDENTITY, FAMILY_ROTATION, FAMILY_SHEAR, FAMILY_MOBIUS)
+
+# What an area method takes, and so how estimate_area calls its estimator:
+BOUNDARY = "boundary map"  # estimator(bmap, r[, resolution])
+BOUNDARY_OR_COEFFS = "boundary map or FourierCoeffs"  # estimator(source, r, order=order)
+CLOSED_FORM = "closed form"  # estimator(family, r, param)
+
+
+class AreaMethod(NamedTuple):
+    takes: str
+    estimator: str  # name of the estimator function in this module
+
+
+# The estimators are named, not held, so each call looks the function up in
+# this module and honours a rebinding of it (a test's monkeypatch, the
+# benchmark's tracer).
+REGISTRY = {
+    GREEN_SPECTRAL: AreaMethod(BOUNDARY_OR_COEFFS, "area_green_spectral"),
+    GREEN_QUADRATURE: AreaMethod(BOUNDARY, "area_green_quadrature"),
+    KERNEL_DIRECT: AreaMethod(BOUNDARY, "area_kernel_direct"),
+    KERNEL_FFT: AreaMethod(BOUNDARY, "area_kernel_fft"),
+    JACOBIAN_GRID: AreaMethod(BOUNDARY_OR_COEFFS, "area_jacobian_grid"),
+    EXACT_FAMILY: AreaMethod(CLOSED_FORM, "exact_family_area"),
+}
+
+METHODS = tuple(REGISTRY)
 
 
 class HypothesisViolationError(ValueError):
@@ -94,13 +123,20 @@ def area_kernel_defining_integral(r: float, alpha: float, n_samples: int = 2048)
     return float(np.mean(poisson_kernel(r, t) * poisson_kernel_deriv(r, t - alpha)))
 
 
-def _coeffs_for(bmap: BoundaryMap, order: int) -> FourierCoeffs:
-    return fourier_from_boundary(bmap, order=order, n_samples=4 * order)
+def _coeffs_for(source: BoundaryMap | FourierCoeffs, order: int) -> FourierCoeffs:
+    """Coefficients as given, or extracted from a boundary map at ``order``."""
+    if isinstance(source, FourierCoeffs):
+        return source
+    return fourier_from_boundary(source, order=order)
 
 
-def area_green_spectral(coeffs: FourierCoeffs, r: float) -> AreaEstimate:
-    """pi * sum over n of n |c_n|^2 r^{2|n|}; negative indices count negatively."""
+def area_green_spectral(source: BoundaryMap | FourierCoeffs, r: float, order: int = 256) -> AreaEstimate:
+    """pi * sum over n of n |c_n|^2 r^{2|n|}; negative indices count negatively.
+
+    Boundary input is extracted at ``order`` first.
+    """
     r = _check_radius(r, allow_zero=False)
+    coeffs = _coeffs_for(source, order)
 
     def value(cf: FourierCoeffs) -> float:
         ns = cf.indices
@@ -191,12 +227,9 @@ def area_jacobian_grid(
     accepted for closed-form families whose injectivity the caller guarantees.
     """
     r = _check_radius(r, allow_zero=False)
-    if isinstance(source, BoundaryMap):
-        if source.kind != HOMEOMORPHISM:
-            raise HypothesisViolationError("Jacobian-grid area requires a homeomorphism boundary map")
-        coeffs = _coeffs_for(source, order)
-    else:
-        coeffs = source
+    if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
+        raise HypothesisViolationError("Jacobian-grid area requires a homeomorphism boundary map")
+    coeffs = _coeffs_for(source, order)
     full = _jacobian_value(coeffs, r, n_rho, n_theta)
     half = _jacobian_value(coeffs, r, n_rho // 2, max(8, n_theta // 2))
     return AreaEstimate(full, JACOBIAN_GRID, n_rho, abs(full - half))
@@ -262,3 +295,37 @@ def family_boundary_map(family: str, param=None) -> BoundaryMap:
     if family == FAMILY_SHEAR:
         raise ValueError("the shear family is not unimodular on the circle; use family_coeffs")
     raise ValueError(f"unknown family {family!r}")
+
+
+def estimate_area(source, r: float, method: str = GREEN_SPECTRAL, order: int = 512,
+                  resolution: int | None = None) -> AreaEstimate:
+    """Area of the image of the disk of radius r under the harmonic extension.
+
+    ``source`` is a BoundaryMap, a FourierCoeffs, or a family instance: an
+    object with the map in ``source`` and its ``family`` and ``param``, such
+    as ``runner.FamilyInstance``.  ``order`` is the extraction order of the
+    methods that take coefficients; ``resolution`` is the sample count of
+    the boundary quadratures, and None keeps each estimator's default.  An
+    input the method's table entry does not take raises
+    HypothesisViolationError.
+    """
+    if method not in REGISTRY:
+        raise ValueError(f"unknown area method {method!r}")
+    takes, name = REGISTRY[method]
+    estimator = globals()[name]
+    if isinstance(source, (BoundaryMap, FourierCoeffs)):
+        data, family, param = source, None, None
+    else:
+        data, family, param = source.source, source.family, source.param
+    if takes == CLOSED_FORM:
+        if family not in CLOSED_FORM_FAMILIES:
+            what = f"family {family!r}" if family else "a bare map"
+            raise HypothesisViolationError(
+                f"{method} needs a closed-form family ({', '.join(CLOSED_FORM_FAMILIES)}), not {what}"
+            )
+        return estimator(family, r, param)
+    if takes == BOUNDARY:
+        if not isinstance(data, BoundaryMap):
+            raise HypothesisViolationError(f"{method} needs boundary data on the circle")
+        return estimator(data, r) if resolution is None else estimator(data, r, resolution)
+    return estimator(data, r, order=order)

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .area import _kernel_direct_value, _kernel_fft_value
+from .area import METHODS, _kernel_direct_value, _kernel_fft_value
 from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
 from .runner import (
     AREA_COLUMNS,
@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
                         help="identity | rotation:phi | mobius:a | shear:c | random:seeds:roughness | step:j1,j2@v1,v2")
     p_area.add_argument("--r", required=True, help="comma-separated radii in (0, 0.97]")
     p_area.add_argument("--method", default="green-spectral",
-                        help="comma-separated: green-spectral,green-quadrature,kernel-direct,kernel-fft,jacobian,exact")
+                        help="comma-separated: " + ",".join(METHODS))
     p_area.add_argument("--resolution", type=int, default=1024)
     p_area.add_argument("--order", type=int, default=512)
     p_area.add_argument("--conjugate", action="store_true",
@@ -137,15 +137,7 @@ def _cmd_verify(args) -> int:
         tolerances=tolerances,
         conjugate=args.conjugate,
     )
-    if args.suite == "convexity" and args.family:
-        spec = args.family[0]
-        if not spec.startswith("shear:"):
-            raise ConfigError("convexity --family expects shear:<c>")
-        from .runner import run_convexity_suite
-
-        rows = run_convexity_suite(config, complex(spec.split(":", 1)[1]))
-    else:
-        rows = run_suite(args.suite, config)
+    rows = run_suite(args.suite, config)
     text = format_csv(rows, VERIFY_COLUMNS) if args.format == "csv" else format_jsonl(rows)
     _emit(text, args.out)
     counts = {"true": 0, "false": 0, "inconclusive": 0}

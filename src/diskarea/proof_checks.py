@@ -188,17 +188,8 @@ def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9), map_id: st
     ok = ok and worst_outside >= -1e-12 and best_inside < 0.0  # (d)
 
     lhs = min(worst, min_off, min_slope, worst_outside)
-    return VerdictRecord(
-        check_name="tangent-gap-signs",
-        map_id=map_id,
-        r=float(radii[-1]),
-        lhs=lhs,
-        rhs=0.0,
-        slack=lhs,
-        tolerance=1e-12,
-        passed=bool(ok),
-        resolution=grid_n,
-    )
+    return make_verdict("tangent-gap-signs", map_id, radii[-1], lhs, 0.0, 1e-12, grid_n,
+                        direction="ge", holds=ok)
 
 
 def mirror_pair_residual(r: float, grid_n: int = 256):
@@ -277,18 +268,7 @@ def check_gap_double_integral(
     # them could not catch an error in them
     area = (math.pi / (m * m)) * pair_sums.sin_pair_sum(kern, lift2[:m])
     bookkeeping = abs((math.pi * r * r - area) - value / (4.0 * math.pi))
-    ok = value >= -tol and bookkeeping <= 1e-6
-    return VerdictRecord(
-        check_name="gap-double-integral",
-        map_id=map_id,
-        r=r,
-        lhs=-value,
-        rhs=0.0,
-        slack=value,
-        tolerance=tol,
-        passed=bool(ok),
-        resolution=m,
-    )
+    return make_verdict("gap-double-integral", map_id, r, -value, 0.0, tol, m, holds=bookkeeping <= 1e-6)
 
 
 def profile_gap_integral(g: MonotoneProfile, r: float) -> tuple[float, float]:

@@ -13,19 +13,17 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import proof_checks, verify
 from .area import (
     GREEN_SPECTRAL,
-    area_green_quadrature,
+    METHODS,
     area_green_spectral,
-    area_jacobian_grid,
-    area_kernel_direct,
-    area_kernel_fft,
-    exact_family_area,
+    estimate_area,
+    family_boundary_map,
     family_coeffs,
 )
 from .circle_maps import (
@@ -33,7 +31,6 @@ from .circle_maps import (
     BoundaryMap,
     conjugate_map,
     make_identity,
-    make_mobius_boundary,
     make_random_homeomorphism,
     make_rotation,
     make_step_map,
@@ -97,12 +94,21 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """One concrete map drawn from a family spec."""
+    """One concrete map drawn from a family spec.
+
+    ``param`` is the parsed parameter of a closed-form family (None for the
+    identity and for families without a closed form); ``area.estimate_area``
+    takes an instance as its source.
+    """
 
     family: str
     params: str
     map_id: str
     source: object  # BoundaryMap | FourierCoeffs
+    param: object = None
+
+
+_PARAM_NAMES = {"rotation": "phi", "mobius": "a", "shear": "c"}
 
 
 def parse_seed_range(text: str) -> list[int]:
@@ -122,16 +128,12 @@ def parse_family(spec: str) -> list[FamilyInstance]:
     name = parts[0]
     try:
         if name == "identity":
-            return [FamilyInstance("identity", "", "identity", make_identity())]
-        if name == "rotation":
-            phi = float(parts[1])
-            return [FamilyInstance("rotation", f"phi={parts[1]}", spec, make_rotation(phi))]
-        if name == "mobius":
-            a = complex(parts[1])
-            return [FamilyInstance("mobius", f"a={parts[1]}", spec, make_mobius_boundary(a))]
-        if name == "shear":
-            c = complex(parts[1])
-            return [FamilyInstance("shear", f"c={parts[1]}", spec, family_coeffs("shear", c))]
+            return [FamilyInstance("identity", "", "identity", family_boundary_map("identity"))]
+        if name in _PARAM_NAMES:
+            param = float(parts[1]) if name == "rotation" else complex(parts[1])
+            # shear is not unimodular on the circle, so it is given by coefficients
+            source = family_coeffs(name, param) if name == "shear" else family_boundary_map(name, param)
+            return [FamilyInstance(name, f"{_PARAM_NAMES[name]}={parts[1]}", spec, source, param)]
         if name == "random":
             seeds = parse_seed_range(parts[1])
             roughness = float(parts[2]) if len(parts) > 2 else 0.5
@@ -163,15 +165,7 @@ def expand_families(config: SweepConfig) -> list[FamilyInstance]:
     for spec in config.families:
         out.extend(parse_family(spec))
     if config.conjugate:
-        out = [
-            FamilyInstance(
-                inst.family,
-                inst.params,
-                inst.map_id + "|conj",
-                _conjugate_source(inst.source),
-            )
-            for inst in out
-        ]
+        out = [replace(inst, map_id=inst.map_id + "|conj", source=_conjugate_source(inst.source)) for inst in out]
     return out
 
 
@@ -181,38 +175,9 @@ def _conjugate_source(source):
     return FourierCoeffs(np.conj(source.coeffs), source.order, source.source_hash)
 
 
-_AREA_METHODS = {
-    "green-spectral": None,
-    "green-quadrature": area_green_quadrature,
-    "kernel-direct": area_kernel_direct,
-    "kernel-fft": area_kernel_fft,
-    "jacobian": area_jacobian_grid,
-    "exact": None,
-}
-
-
 def _area_one(inst: FamilyInstance, r: float, method: str, config: SweepConfig):
     t0 = time.perf_counter()
-    if method == "exact":
-        param = inst.params.split("=", 1)[1] if "=" in inst.params else None
-        if inst.family in ("mobius", "shear"):
-            param = complex(param.split(",")[0])
-        elif inst.family == "rotation":
-            param = float(param)
-        est = exact_family_area(inst.family, r, param)
-    elif method == "green-spectral":
-        coeffs = (
-            inst.source
-            if isinstance(inst.source, FourierCoeffs)
-            else fourier_from_boundary(inst.source, order=config.order)
-        )
-        est = area_green_spectral(coeffs, r)
-    elif method == "jacobian":
-        est = area_jacobian_grid(inst.source, r, order=config.order)
-    else:
-        if not isinstance(inst.source, BoundaryMap):
-            raise HypothesisViolationError(f"{method} needs boundary data on the circle")
-        est = _AREA_METHODS[method](inst.source, r, config.resolution)
+    est = estimate_area(inst, r, method, order=config.order, resolution=config.resolution)
     ms = (time.perf_counter() - t0) * 1e3
     return {
         "schema": SCHEMA_VERSION,
@@ -228,8 +193,8 @@ def _area_one(inst: FamilyInstance, r: float, method: str, config: SweepConfig):
 def run_area(config: SweepConfig) -> list[dict]:
     config.validate_radii()
     for m in config.methods:
-        if m not in _AREA_METHODS:
-            raise ConfigError(f"unknown area method {m!r} (choose from {sorted(_AREA_METHODS)})")
+        if m not in METHODS:
+            raise ConfigError(f"unknown area method {m!r} (choose from {sorted(METHODS)})")
     instances = expand_families(config)
     rows = [
         _area_one(inst, r, meth, config)
@@ -388,14 +353,22 @@ def run_boundary_suite(config: SweepConfig) -> list[dict]:
     return rows
 
 
-def run_convexity_suite(config: SweepConfig, shear_param: complex = 0.3) -> list[dict]:
+def run_convexity_suite(config: SweepConfig) -> list[dict]:
+    """Holomorphic convexity on injective series, and its designed failure for
+    the harmonic shear family: ``config.families`` (default ``shear:0.3``),
+    which must hold only ``shear:c`` specs."""
     config.validate_radii()
+    specs = config.families or ["shear:0.3"]
+    if any(spec.split(":")[0] != "shear" for spec in specs):
+        raise ConfigError("convexity --family expects shear:<c>")
+    shears = [inst for spec in specs for inst in parse_family(spec)]
     rows = []
+    mobius = family_coeffs("mobius", 0.4)
     holomorphic = {
         "identity": [1.0],
         "rotation:1": [np.exp(1j)],
         "perturbed": [1.0, 0.1],
-        "mobius:0.4": family_coeffs("mobius", 0.4).coeffs[family_coeffs("mobius", 0.4).order + 1 :],
+        "mobius:0.4": mobius.coeffs[mobius.order + 1 :],
     }
     for map_id, series in holomorphic.items():
         if not verify.winding_injectivity_check(series):
@@ -405,21 +378,12 @@ def run_convexity_suite(config: SweepConfig, shear_param: complex = 0.3) -> list
             rows.append(_record_row(rec, map_id.split(":")[0], "", ""))
     # harmonic counterexample: the convexity comparison must fail, and the
     # suite passes exactly when it does
-    coeffs = family_coeffs("shear", shear_param)
-    for r in config.radii:
-        raw = verify.holomorphic_convexity_check(coeffs, r, map_id=f"shear:{shear_param}")
-        rec = VerdictRecord(
-            check_name="convexity-fails-for-shear",
-            map_id=raw.map_id,
-            r=raw.r,
-            lhs=raw.lhs,
-            rhs=raw.rhs,
-            slack=raw.lhs - raw.rhs,
-            tolerance=raw.tolerance,
-            passed=raw.lhs > raw.rhs,
-            resolution=raw.resolution,
-        )
-        rows.append(_record_row(rec, "shear", f"c={shear_param}", ""))
+    for inst in shears:
+        for r in config.radii:
+            raw = verify.holomorphic_convexity_check(inst.source, r, map_id=inst.map_id)
+            rec = verify.make_verdict("convexity-fails-for-shear", raw.map_id, raw.r, raw.lhs, raw.rhs,
+                                      raw.tolerance, raw.resolution, direction="ge", holds=raw.lhs > raw.rhs)
+            rows.append(_record_row(rec, inst.family, inst.params, ""))
     rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
     return rows
 

@@ -1,10 +1,12 @@
 """Inequality-level verification: area contraction, boundary flux, Schwarz bound.
 
 Each check produces a :class:`VerdictRecord` pairing the two sides of an
-inequality with its slack and tolerance.  Checks never raise on a numerical
-failure; they raise only when the input violates the hypothesis of the
-statement being checked (a step map fed to a bijectivity-only check, an
-uncentered map fed to the Schwarz bound).
+inequality with its slack and tolerance, built by :func:`make_verdict`.
+Checks never raise on a numerical failure (a non-finite slack gives an
+inconclusive record); they raise only when the input violates the
+hypothesis of the statement being checked (a step map fed to a
+bijectivity-only check, an uncentered map fed to the Schwarz bound).
+``estimate_area`` is re-exported from :mod:`diskarea.area`.
 """
 
 from __future__ import annotations
@@ -15,16 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .area import (
-    GREEN_SPECTRAL,
-    AreaEstimate,
-    HypothesisViolationError,
-    area_green_quadrature,
-    area_green_spectral,
-    area_jacobian_grid,
-    area_kernel_direct,
-    area_kernel_fft,
-)
+from .area import GREEN_SPECTRAL, HypothesisViolationError, estimate_area
 from .circle_maps import HOMEOMORPHISM, NONDECREASING_STEP, TWO_PI, BoundaryMap
 from .poisson import (
     FourierCoeffs,
@@ -56,15 +49,17 @@ class VerdictRecord:
 
 
 def make_verdict(
-    check_name, map_id, r, lhs, rhs, tolerance, resolution, inconclusive=False, direction="le"
+    check_name, map_id, r, lhs, rhs, tolerance, resolution, inconclusive=False, direction="le", holds=True
 ) -> VerdictRecord:
-    """Record for an inequality check; pass iff slack >= -tolerance.
+    """Record for an inequality check; pass iff slack >= -tolerance and ``holds``.
 
     slack = rhs - lhs for a ``le`` check (lhs <= rhs), lhs - rhs for ``ge``.
+    ``holds`` carries the further conditions of a compound check.  A
+    non-finite slack makes the record inconclusive.  This is the only place
+    a VerdictRecord is built.
     """
     slack = rhs - lhs if direction == "le" else lhs - rhs
-    if not math.isfinite(slack):
-        raise ValueError("slack must be finite")
+    inconclusive = bool(inconclusive) or not math.isfinite(slack)
     return VerdictRecord(
         check_name=check_name,
         map_id=map_id,
@@ -73,29 +68,10 @@ def make_verdict(
         rhs=float(rhs),
         slack=float(slack),
         tolerance=float(tolerance),
-        passed=bool(slack >= -tolerance) and not inconclusive,
+        passed=bool(slack >= -tolerance) and bool(holds) and not inconclusive,
         resolution=int(resolution),
-        inconclusive=bool(inconclusive),
+        inconclusive=inconclusive,
     )
-
-
-_AREA_DISPATCH = {
-    "green-spectral": None,  # handled through coefficients below
-    "green-quadrature": area_green_quadrature,
-    "kernel-direct": area_kernel_direct,
-    "kernel-fft": area_kernel_fft,
-    "jacobian": area_jacobian_grid,
-}
-
-
-def estimate_area(bmap: BoundaryMap, r: float, method: str = GREEN_SPECTRAL, order: int = 512) -> AreaEstimate:
-    """Area of the image of the disk of radius r under the harmonic extension."""
-    if method == GREEN_SPECTRAL:
-        coeffs = fourier_from_boundary(bmap, order=order)
-        return area_green_spectral(coeffs, r)
-    if method not in _AREA_DISPATCH:
-        raise ValueError(f"unknown area method {method!r}")
-    return _AREA_DISPATCH[method](bmap, r)
 
 
 def check_area_contraction(

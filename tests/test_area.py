@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import diskarea as da
-from diskarea import pair_sums
+from diskarea import area, pair_sums
 
 TWO_PI = 2.0 * math.pi
 
@@ -254,3 +254,69 @@ class TestEstimateMetadata:
     def test_kernel_methods_accept_two_samples(self, method):
         est = method(da.make_identity(), 0.5, 2)
         assert est.resolution == 2 and math.isfinite(est.value)
+
+
+def _registry_sources():
+    from diskarea import runner
+
+    bmap = da.mollify_map(da.make_random_homeomorphism(3))
+    coeffs = da.fourier_from_boundary(bmap, order=16)
+    family = lambda spec: runner.parse_family(spec)[0]
+    both = {area.BOUNDARY, area.BOUNDARY_OR_COEFFS}
+    # source -> the kinds of input (REGISTRY[...].takes) it provides
+    return {
+        "boundary-map": (bmap, both),
+        "fourier-coeffs": (coeffs, {area.BOUNDARY_OR_COEFFS}),
+        "random-family": (family("random:0"), both),
+        "mobius-family": (family("mobius:0.3"), both | {area.CLOSED_FORM}),
+        "shear-family": (family("shear:0.3"), {area.BOUNDARY_OR_COEFFS, area.CLOSED_FORM}),
+    }
+
+
+REGISTRY_SOURCES = _registry_sources()
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("source_name", sorted(REGISTRY_SOURCES))
+    @pytest.mark.parametrize("method", area.METHODS)
+    def test_each_method_takes_what_its_entry_says(self, method, source_name):
+        source, provides = REGISTRY_SOURCES[source_name]
+        if area.REGISTRY[method].takes in provides:
+            est = da.estimate_area(source, 0.5, method, order=16, resolution=64)
+            assert isinstance(est, da.AreaEstimate) and est.method == method
+            assert math.isfinite(est.value)
+        else:
+            with pytest.raises(da.HypothesisViolationError):
+                da.estimate_area(source, 0.5, method, order=16, resolution=64)
+
+    def test_methods_and_verify_reexport_come_from_the_table(self):
+        assert da.METHODS == tuple(area.REGISTRY)
+        assert da.verify.estimate_area is area.estimate_area
+        with pytest.raises(ValueError, match="unknown area method"):
+            da.estimate_area(da.make_identity(), 0.5, "fancy")
+
+    def test_estimator_is_looked_up_when_called(self, monkeypatch):
+        calls = []
+        real = area.area_kernel_fft
+        monkeypatch.setattr(area, "area_kernel_fft", lambda *args: calls.append(args) or real(*args))
+        da.estimate_area(da.make_identity(), 0.5, "kernel-fft", resolution=64)
+        assert len(calls) == 1
+
+    def test_order_reaches_the_jacobian(self, mollified_map):
+        low = da.estimate_area(mollified_map, 0.9, "jacobian", order=8)
+        high = da.estimate_area(mollified_map, 0.9, "jacobian", order=64)
+        assert low.value == da.area_jacobian_grid(mollified_map, 0.9, order=8).value
+        assert high.value == da.area_jacobian_grid(mollified_map, 0.9, order=64).value
+        assert low.value != high.value
+
+    def test_resolution_reaches_the_quadratures(self, mollified_map):
+        assert da.estimate_area(mollified_map, 0.6, "kernel-fft", resolution=256).resolution == 256
+        default = da.estimate_area(mollified_map, 0.6, "kernel-fft")
+        assert default.resolution == area.kernel_sample_count(0.6)
+        assert da.estimate_area(mollified_map, 0.6, "green-quadrature").resolution == 1024
+
+    def test_fourier_coeffs_are_accepted(self, mollified_map):
+        coeffs = da.fourier_from_boundary(mollified_map, order=64)
+        est = da.estimate_area(coeffs, 0.6)
+        assert est.value == da.area_green_spectral(coeffs, 0.6).value
+        assert est.value == da.estimate_area(mollified_map, 0.6, order=64).value

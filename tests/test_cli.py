@@ -81,6 +81,23 @@ class TestAreaCommand:
         assert err.startswith("hypothesis violation: ")
         assert out == ""
 
+    def test_exact_on_families_without_closed_form_is_a_hypothesis_violation(self, capsys):
+        for family in ("random:0", "step:1.5707963,4.712389@3.14159,6.2831853"):
+            code, out, err = run_cli(capsys, "area", "--family", family, "--r", "0.5", "--method", "exact")
+            assert code == 65, family
+            assert err.startswith("hypothesis violation: ") and "closed-form" in err
+            assert out == ""
+
+    def test_method_help_lists_the_registry(self, capsys):
+        import pytest
+
+        import diskarea as da
+
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["area", "--help"])
+        # argparse may wrap the list at a hyphen
+        assert ",".join(da.METHODS) in "".join(capsys.readouterr().out.split())
+
     def test_usage_error_on_missing_args(self, capsys):
         code, _, _ = run_cli(capsys, "area", "--family", "identity")
         assert code == 64
@@ -115,6 +132,31 @@ class TestVerifyCommand:
         shear = [row for row in rows if row["check_name"] == "convexity-fails-for-shear"]
         assert shear and all(row["passed"] == "true" for row in shear)
         assert all(float(row["lhs"]) > float(row["rhs"]) for row in shear)
+
+    def test_convexity_family_sets_the_shear_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "convexity",
+                               "--family", "shear:0.2", "--radii", "0.5")
+        assert code == 0
+        shear = [row for row in parse_csv(out) if row["check_name"] == "convexity-fails-for-shear"]
+        assert [(row["map_id"], row["params"]) for row in shear] == [("shear:0.2", "c=0.2")]
+
+    def test_convexity_non_shear_family_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "convexity",
+                                 "--family", "mobius:0.3", "--radii", "0.5")
+        assert code == 64
+        assert "usage error" in err and out == ""
+
+    def test_non_finite_area_is_inconclusive(self, capsys, monkeypatch):
+        import diskarea as da
+        from diskarea import runner
+
+        nan_area = lambda coeffs, r: da.AreaEstimate(math.nan, "green-spectral", 8, 0.0)
+        monkeypatch.setattr(runner, "area_green_spectral", nan_area)
+        code, out, err = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "0..0",
+                                 "--radii", "0.5", "--mollify", "0.5", "--order", "8")
+        assert code == 2
+        assert [row["passed"] for row in parse_csv(out)] == ["inconclusive"]
+        assert "inconclusive=1" in err
 
     def test_equality_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "equality", "--radii", "0.5")

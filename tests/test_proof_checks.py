@@ -443,3 +443,18 @@ class TestSharedGrid:
             rhs = 2.0 * da.area_kernel(r, A) * da.tangent_gap(A, math.pi)
             want = (float(np.max(np.abs(lhs - rhs))), float(np.min(rhs)))
             assert da.mirror_pair_residual(r, n) == want
+
+
+class TestCompoundVerdicts:
+    def test_non_finite_gap_sum_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(pc.pair_sums, "gap_pair_sums", lambda *args: (math.nan, math.nan))
+        bmap = da.make_random_homeomorphism(0, roughness=0.5)
+        rec = pc.check_gap_double_integral(bmap, 0.5, 64)
+        assert rec.inconclusive and not rec.passed
+
+    def test_bookkeeping_failure_fails_with_nonnegative_slack(self, monkeypatch):
+        # a gap sum that is positive but does not account for the area deficit
+        monkeypatch.setattr(pc.pair_sums, "gap_pair_sums", lambda *args: (0.0, 1e3))
+        bmap = da.make_random_homeomorphism(0, roughness=0.5)
+        rec = pc.check_gap_double_integral(bmap, 0.5, 64)
+        assert rec.slack > 0 and not rec.passed and not rec.inconclusive

@@ -30,6 +30,16 @@ class TestFamilyParsing:
         (sh,) = runner.parse_family("shear:0.3")
         assert isinstance(sh.source, da.FourierCoeffs)
 
+    def test_instances_carry_the_parsed_parameter(self):
+        assert runner.parse_family("identity")[0].param is None
+        assert runner.parse_family("rotation:1.5")[0].param == 1.5
+        assert runner.parse_family("mobius:0.2+0.3j")[0].param == 0.2 + 0.3j
+        assert runner.parse_family("shear:0.3")[0].param == 0.3
+        assert runner.parse_family("random:0")[0].param is None
+        config = runner.SweepConfig(families=["mobius:0.2+0.3j"], conjugate=True)
+        (conj,) = runner.expand_families(config)
+        assert conj.map_id == "mobius:0.2+0.3j|conj" and conj.param == 0.2 + 0.3j
+
     def test_random_range(self):
         insts = runner.parse_family("random:0..4:0.5")
         assert len(insts) == 5
@@ -140,6 +150,15 @@ class TestSuites:
         shear_rows = [row for row in rows if row["check_name"] == "convexity-fails-for-shear"]
         assert shear_rows and all(row["passed"] == "true" for row in shear_rows)
         assert runner.exit_code_for(rows) == 0
+
+    def test_convexity_suite_reads_shear_specs_from_families(self):
+        config = runner.SweepConfig(families=["shear:0.1", "shear:0.4"], radii=[0.5])
+        rows = runner.run_convexity_suite(config)
+        shear_rows = [row for row in rows if row["check_name"] == "convexity-fails-for-shear"]
+        assert [row["map_id"] for row in shear_rows] == ["shear:0.1", "shear:0.4"]
+        assert all(row["passed"] == "true" for row in shear_rows)
+        with pytest.raises(runner.ConfigError):
+            runner.run_convexity_suite(runner.SweepConfig(families=["identity"], radii=[0.5]))
 
     def test_exit_code_fail_dominates(self):
         rows = [{"passed": "true"}, {"passed": "inconclusive"}, {"passed": "false"}]

@@ -167,3 +167,22 @@ class TestVerdictPlumbing:
         assert rec.passed and rec.slack == 1.0
         rec = da.verify.make_verdict("x", "", 0.5, 1.0, 2.0, 0.1, 1, direction="ge")
         assert not rec.passed
+
+    @pytest.mark.parametrize("lhs", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_is_inconclusive(self, lhs):
+        for direction in ("le", "ge"):
+            rec = da.verify.make_verdict("x", "", 0.5, lhs, 2.0, 0.1, 1, direction=direction)
+            assert rec.inconclusive and not rec.passed
+            assert not math.isfinite(rec.slack)
+
+    def test_holds_is_anded_into_passed(self):
+        rec = da.verify.make_verdict("x", "", 0.5, 3.0, 2.0, 0.1, 1, direction="ge", holds=False)
+        assert not rec.passed and not rec.inconclusive
+        rec = da.verify.make_verdict("x", "", 0.5, 1.0, 2.0, 0.1, 1, direction="ge", holds=True)
+        assert not rec.passed
+
+    def test_jacobian_contraction_honours_order(self):
+        bmap = da.mollify_map(da.make_random_homeomorphism(3))
+        for order in (8, 64):
+            rec = da.check_area_contraction(bmap, 0.9, method="jacobian", order=order)
+            assert rec.lhs == da.area_jacobian_grid(bmap, 0.9, order=order).value
