@@ -26,9 +26,10 @@ from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, eval_lift, make_ide
 from .poisson import (
     FourierCoeffs,
     _check_radius,
-    circle_theta_derivative,
     circle_values,
     fourier_from_boundary,
+    poisson_kernel,
+    poisson_kernel_deriv,
     sample_count,
     wirtinger_on_circle,
 )
@@ -116,8 +117,6 @@ def area_kernel_defining_integral(r: float, alpha: float, n_samples: int = 2048)
     The defining convolution of the pair kernel, evaluated without the closed
     form; used as the oracle pinning the closed form's radius convention.
     """
-    from .poisson import poisson_kernel, poisson_kernel_deriv
-
     r = _check_radius(r)
     t = np.arange(n_samples) * (TWO_PI / n_samples)
     return float(np.mean(poisson_kernel(r, t) * poisson_kernel_deriv(r, t - alpha)))
@@ -130,20 +129,21 @@ def _coeffs_for(source: BoundaryMap | FourierCoeffs, order: int) -> FourierCoeff
     return fourier_from_boundary(source, order=order)
 
 
+def spectral_area_sum(ns, cs, r: float) -> float:
+    """pi * sum over n of n |c_n|^2 r^{2|n|} for indices ``ns`` and coefficients ``cs``."""
+    return math.pi * float(np.sum(ns * np.abs(cs) ** 2 * r ** (2 * np.abs(ns))))
+
+
 def area_green_spectral(source: BoundaryMap | FourierCoeffs, r: float, order: int = 256) -> AreaEstimate:
-    """pi * sum over n of n |c_n|^2 r^{2|n|}; negative indices count negatively.
+    """:func:`spectral_area_sum` of the series; negative indices count negatively.
 
     Boundary input is extracted at ``order`` first.
     """
     r = _check_radius(r, allow_zero=False)
     coeffs = _coeffs_for(source, order)
-
-    def value(cf: FourierCoeffs) -> float:
-        ns = cf.indices
-        return math.pi * float(np.sum(ns * np.abs(cf.coeffs) ** 2 * r ** (2 * np.abs(ns))))
-
-    full = value(coeffs)
-    half = value(coeffs.truncated(max(1, coeffs.order // 2)))
+    half_coeffs = coeffs.truncated(max(1, coeffs.order // 2))
+    full = spectral_area_sum(coeffs.indices, coeffs.coeffs, r)
+    half = spectral_area_sum(half_coeffs.indices, half_coeffs.coeffs, r)
     return AreaEstimate(full, GREEN_SPECTRAL, coeffs.order, abs(full - half))
 
 
@@ -154,7 +154,7 @@ def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) ->
     def value(m: int) -> float:
         coeffs = _coeffs_for(bmap, order=m // 4)
         f = circle_values(coeffs, r, m)
-        ft = circle_theta_derivative(coeffs, r, m)
+        ft = circle_values(FourierCoeffs(1j * coeffs.indices * coeffs.coeffs, coeffs.order), r, m)
         return float(np.mean(np.imag(np.conj(f) * ft))) * math.pi
 
     full = value(n_samples)
@@ -162,44 +162,34 @@ def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) ->
     return AreaEstimate(full, GREEN_QUADRATURE, n_samples, abs(full - half))
 
 
-def _check_kernel_samples(r: float, n_samples: int | None) -> int:
+def _kernel_value(bmap: BoundaryMap, r: float, m: int, pair_sum) -> float:
+    """Trapezoid sum of the pair kernel against the lift on m samples.
+
+    ``pair_sum`` is :func:`pair_sums.sin_pair_sum` or :func:`pair_sums.sin_pair_sum_fft`.
+    """
+    t = np.arange(m) * (TWO_PI / m)
+    return (math.pi / (m * m)) * pair_sum(area_kernel(r, t), eval_lift(bmap, t))
+
+
+def _kernel_estimate(bmap: BoundaryMap, r: float, n_samples: int | None, pair_sum, method: str) -> AreaEstimate:
+    r = _check_radius(r, allow_zero=False)
     m = kernel_sample_count(r) if n_samples is None else int(n_samples)
     if m < 2:
         raise ValueError("kernel quadrature needs n_samples >= 2")
-    return m
-
-
-def _kernel_direct_value(bmap: BoundaryMap, r: float, m: int) -> float:
-    t = np.arange(m) * (TWO_PI / m)
-    xi = eval_lift(bmap, t)
-    kern = area_kernel(r, t)
-    return (math.pi / (m * m)) * pair_sums.sin_pair_sum(kern, xi)
+    full = _kernel_value(bmap, r, m, pair_sum)
+    half = _kernel_value(bmap, r, m // 2, pair_sum)
+    return AreaEstimate(full, method, m, abs(full - half))
 
 
 def area_kernel_direct(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
     """O(M^2) double trapezoid sum of (1/4pi) K(s - t) sin(lift(s) - lift(t))."""
-    r = _check_radius(r, allow_zero=False)
-    m = _check_kernel_samples(r, n_samples)
-    full = _kernel_direct_value(bmap, r, m)
-    half = _kernel_direct_value(bmap, r, m // 2)
-    return AreaEstimate(full, KERNEL_DIRECT, m, abs(full - half))
-
-
-def _kernel_fft_value(bmap: BoundaryMap, r: float, m: int) -> float:
-    t = np.arange(m) * (TWO_PI / m)
-    xi = eval_lift(bmap, t)
-    kern = area_kernel(r, t)
-    return (math.pi / (m * m)) * float(np.dot(kern, pair_sums._sine_lag_sums(xi)))
+    return _kernel_estimate(bmap, r, n_samples, pair_sums.sin_pair_sum, KERNEL_DIRECT)
 
 
 def area_kernel_fft(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
     """Same finite sum as :func:`area_kernel_direct`, reassociated over the lag
     j - k into the circular sine lag sums of the lift; O(M log M)."""
-    r = _check_radius(r, allow_zero=False)
-    m = _check_kernel_samples(r, n_samples)
-    full = _kernel_fft_value(bmap, r, m)
-    half = _kernel_fft_value(bmap, r, m // 2)
-    return AreaEstimate(full, KERNEL_FFT, m, abs(full - half))
+    return _kernel_estimate(bmap, r, n_samples, pair_sums.sin_pair_sum_fft, KERNEL_FFT)
 
 
 def _jacobian_value(coeffs: FourierCoeffs, r: float, n_rho: int, n_theta: int) -> float:

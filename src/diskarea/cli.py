@@ -16,11 +16,13 @@ import os
 import sys
 import time
 
-from .area import METHODS, _kernel_direct_value, _kernel_fft_value
+from . import pair_sums
+from .area import KERNEL_DIRECT, KERNEL_FFT, METHODS, _kernel_value
 from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
 from .runner import (
     AREA_COLUMNS,
     SUITES,
+    TOLERANCES,
     VERIFY_COLUMNS,
     ConfigError,
     SweepConfig,
@@ -75,11 +77,10 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--mollify", default=None,
                           help="comma-separated smoothing widths (default 2pi/32,2pi/64,2pi/128)")
     p_verify.add_argument("--family", action="append", default=None,
-                          help="override the corpus for family-specific suites (e.g. shear:0.3 for convexity)")
+                          help="shear:c specs for the convexity suite's harmonic rows (suite convexity or all)")
     p_verify.add_argument("--order", type=int, default=512)
     p_verify.add_argument("--tol", action="append", default=[],
-                          help="check_name=value tolerance override; repeatable")
-    p_verify.add_argument("--conjugate", action="store_true")
+                          help="check_name=value tolerance override, for " + ", ".join(TOLERANCES) + "; repeatable")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -122,11 +123,15 @@ def _cmd_area(args) -> int:
 
 def _cmd_verify(args) -> int:
     radii = [args.r] if args.r is not None else _parse_floats(args.radii)
+    if args.family and args.suite not in ("convexity", "all"):
+        raise ConfigError(f"--family is read only by the convexity suite, not by {args.suite!r}")
     tolerances = {}
     for item in args.tol:
         name, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"bad tolerance override {item!r}; expected check=value")
+        if name not in TOLERANCES:
+            raise ConfigError(f"no tolerance named {name!r} (choose from {', '.join(TOLERANCES)})")
         tolerances[name] = float(value)
     config = SweepConfig(
         families=args.family or [],
@@ -135,7 +140,6 @@ def _cmd_verify(args) -> int:
         mollify=_parse_floats(args.mollify) if args.mollify else [TWO_PI / 32, TWO_PI / 64, TWO_PI / 128],
         order=args.order,
         tolerances=tolerances,
-        conjugate=args.conjugate,
     )
     rows = run_suite(args.suite, config)
     text = format_csv(rows, VERIFY_COLUMNS) if args.format == "csv" else format_jsonl(rows)
@@ -169,11 +173,11 @@ def _cmd_bench(args) -> int:
     for m in sizes:
         # both rows time the same work: lift, kernel and the full-resolution sum
         timed = []
-        for name, value_fn in (("kernel-direct", _kernel_direct_value), ("kernel-fft", _kernel_fft_value)):
+        for name, pair_sum in ((KERNEL_DIRECT, pair_sums.sin_pair_sum), (KERNEL_FFT, pair_sums.sin_pair_sum_fft)):
             best = math.inf
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
-                value = value_fn(bmap, args.r, m)
+                value = _kernel_value(bmap, args.r, m, pair_sum)
                 best = min(best, time.perf_counter() - t0)
             timed.append((name, value, best))
         ref = timed[-1][1]

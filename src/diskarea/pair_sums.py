@@ -2,7 +2,7 @@
 of the kernel-weighted tangent gap.
 
 Both sums pair a kernel row K[d], indexed by the circular lag d = j - k, with
-the sine of lift differences.  ``gap_pair_sums`` and the FFT area estimator
+the sine of lift differences.  ``gap_pair_sums`` and ``sin_pair_sum_fft``
 reduce that part to the circular sine lag sums of :func:`_sine_lag_sums`,
 which cost O(M log M).  ``sin_pair_sum`` is the dense O(M^2) form of the area
 sum; it is the ``kernel-direct`` area estimator and the oracle the FFT path
@@ -54,6 +54,18 @@ def sin_pair_sum(kernel_row, xi):
     s = np.sin(xi)
     c = np.cos(xi)
     return float(np.dot(s, _circular_convolve(kernel_row, c)) - np.dot(c, _circular_convolve(kernel_row, s)))
+
+
+def sin_pair_sum_fft(kernel_row, xi):
+    """The sum of :func:`sin_pair_sum`, reassociated over the lag d = j - k.
+
+    sum over d of kernel_row[d] * S[d] with S the sine lag sums of the lift;
+    O(M log M).  It is the pair sum of the ``kernel-fft`` area estimator.
+    """
+    kernel_row = np.asarray(kernel_row, dtype=float)
+    if kernel_row.size != np.size(xi):
+        raise ValueError("kernel_row and xi must have equal length")
+    return float(np.dot(kernel_row, _sine_lag_sums(xi)))
 
 
 def gap_pair_sums(kernel_row, alphas, lift2):

@@ -9,6 +9,7 @@ tests.  Uniform trapezoid sums are used throughout: every integrand here is
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,14 @@ def poisson_kernel_deriv(r: float, t):
     return out if out.ndim else float(out)
 
 
-def sample_count(r: float, floor: int = 1024) -> int:
-    """Power-of-two sample count resolving the kernel peak of width ~(1 - r).
+def sample_count(r: float) -> int:
+    """Power-of-two sample count, at least 1024, resolving the kernel peak of width ~(1 - r).
 
     Trapezoid aliasing on the kernel decays like r^M ~ exp(-M (1 - r)), so
     32 samples per unit of 1/(1 - r) keeps it below 1e-10 through r = 0.99.
     """
     need = 32.0 / max(1.0 - r, 1e-12)
-    m = floor
+    m = 1024
     while m < need:
         m *= 2
     return m
@@ -110,15 +111,11 @@ class FourierCoeffs:
         return FourierCoeffs(self.coeffs[lo : lo + 2 * order + 1], order, self.source_hash)
 
     def to_json(self) -> str:
-        import json
-
         triples = [[int(n), c.real, c.imag] for n, c in zip(self.indices, self.coeffs)]
         return json.dumps(triples)
 
     @classmethod
     def from_json(cls, text: str) -> "FourierCoeffs":
-        import json
-
         triples = json.loads(text)
         ns = [int(row[0]) for row in triples]
         order = max(abs(n) for n in ns)
@@ -211,19 +208,6 @@ def circle_values(coeffs: FourierCoeffs, r: float, n_samples: int) -> np.ndarray
         raise ValueError("n_samples must exceed twice the truncation order")
     spectrum = np.zeros(n_samples, dtype=complex)
     damp = coeffs.coeffs * r ** np.abs(coeffs.indices)
-    spectrum[: n + 1] = damp[n:]
-    spectrum[n_samples - n :] = damp[:n]
-    return np.fft.ifft(spectrum) * n_samples
-
-
-def circle_theta_derivative(coeffs: FourierCoeffs, r: float, n_samples: int) -> np.ndarray:
-    """f_theta on the same uniform circle grid as :func:`circle_values`."""
-    r = _check_radius(r)
-    n = coeffs.order
-    if n_samples < 2 * n + 1:
-        raise ValueError("n_samples must exceed twice the truncation order")
-    spectrum = np.zeros(n_samples, dtype=complex)
-    damp = 1j * coeffs.indices * coeffs.coeffs * r ** np.abs(coeffs.indices)
     spectrum[: n + 1] = damp[n:]
     spectrum[n_samples - n :] = damp[:n]
     return np.fft.ifft(spectrum) * n_samples

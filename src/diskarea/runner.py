@@ -1,14 +1,16 @@
 """Sweep configuration, family-spec parsing, suite execution, report emission.
 
 Family specs are small colon-separated strings (``random:0..99:0.5``,
-``mobius:0.3``); suites run their (map, radius) tasks in order and sort the
+``mobius:0.3``).  Each suite yields its checks in order and :func:`_suite`
+turns them into rows: it times each row from the previous one and sorts the
 rows in a fixed order, so identical configs produce byte-identical reports
-apart from the wall-time column.
+apart from the wall-time column, and a suite's rows add up to its wall time.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -36,7 +38,7 @@ from .circle_maps import (
     make_step_map,
     mollify_map,
 )
-from .poisson import FourierCoeffs, fourier_from_boundary
+from .poisson import FourierCoeffs, eval_harmonic_step, fourier_from_boundary
 from .verify import HypothesisViolationError, VerdictRecord
 
 SCHEMA_VERSION = 1
@@ -64,6 +66,14 @@ MAX_RADIUS = 0.97  # kernel concentration cap for sweep radii
 
 SUITES = ("contraction", "equality", "schwarz", "boundary", "convexity", "proof", "all")
 
+# Default tolerance of each check whose tolerance --tol may override.
+TOLERANCES = {
+    "area-contraction": 1e-6,  # relative to the disk area pi r^2
+    "equality-rotation": 1e-8,
+    "schwarz-bound": 1e-8,
+    "boundary-flux": 1e-3,
+}
+
 
 class ConfigError(ValueError):
     """Malformed family spec or sweep configuration (a usage error)."""
@@ -77,12 +87,12 @@ class SweepConfig:
     resolution: int = 1024
     order: int = 512
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
     seeds: list = field(default_factory=lambda: list(range(100)))
     mollify: list = field(default_factory=lambda: [TWO_PI / 32, TWO_PI / 64, TWO_PI / 128])
     conjugate: bool = False
-    output: str | None = None
-    fmt: str = "csv"
+
+    def tolerance(self, check_name: str) -> float:
+        return self.tolerances.get(check_name, TOLERANCES[check_name])
 
     def validate_radii(self):
         if not self.radii:
@@ -206,8 +216,8 @@ def run_area(config: SweepConfig) -> list[dict]:
     return rows
 
 
-def _record_row(rec: VerdictRecord, family: str = "", params: str = "", method: str = "",
-                error_indicator: float = 0.0, wall_ms: float = 0.0) -> dict:
+def _record_row(rec: VerdictRecord, family: str, params: str, method: str,
+                error_indicator: float, wall_ms: float) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "check_name": rec.check_name,
@@ -227,6 +237,27 @@ def _record_row(rec: VerdictRecord, family: str = "", params: str = "", method: 
     }
 
 
+def _suite(checks):
+    """A suite from a generator of (record, family, params, method, error_indicator):
+    same arguments, sorted report rows.  Each row is timed from the previous
+    one (the first from the call), so a map's shared set-up lands on its
+    first row and the rows add up to the suite's wall time.
+    """
+
+    @functools.wraps(checks)
+    def suite(config: SweepConfig, *args, **kwargs) -> list[dict]:
+        rows = []
+        last = time.perf_counter()
+        for rec, family, params, method, error_indicator in checks(config, *args, **kwargs):
+            now = time.perf_counter()
+            rows.append(_record_row(rec, family, params, method, error_indicator, (now - last) * 1e3))
+            last = now
+        rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
+        return rows
+
+    return suite
+
+
 def _contraction_tasks(config: SweepConfig):
     for seed in config.seeds:
         base = make_random_homeomorphism(seed, roughness=0.5)
@@ -239,13 +270,11 @@ def _contraction_tasks(config: SweepConfig):
             )
 
 
-def run_contraction_suite(config: SweepConfig) -> list[dict]:
+@_suite
+def run_contraction_suite(config: SweepConfig):
     config.validate_radii()
-    tol_scale = config.tolerances.get("area-contraction", 1e-6)
-
-    rows = []
+    tol_scale = config.tolerance("area-contraction")
     for inst in _contraction_tasks(config):
-        t0 = time.perf_counter()
         coeffs = fourier_from_boundary(inst.source, order=config.order)
         for r in config.radii:
             est = area_green_spectral(coeffs, r)
@@ -253,22 +282,19 @@ def run_contraction_suite(config: SweepConfig) -> list[dict]:
             rec = verify.make_verdict(
                 "area-contraction", inst.map_id, r, est.value, disk, tol_scale * disk, est.resolution
             )
-            ms = (time.perf_counter() - t0) * 1e3
-            rows.append(_record_row(rec, inst.family, inst.params, GREEN_SPECTRAL, est.error_indicator, ms))
-    rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-    return rows
+            yield rec, inst.family, inst.params, GREEN_SPECTRAL, est.error_indicator
 
 
-def run_equality_suite(config: SweepConfig) -> list[dict]:
+@_suite
+def run_equality_suite(config: SweepConfig):
     config.validate_radii()
-    tol = config.tolerances.get("equality-rotation", 1e-8)
-    rows = []
+    tol = config.tolerance("equality-rotation")
     for phi in (0.0, 1.0, math.pi / 2, math.pi):
         inst_id = f"rotation:{phi:g}"
         for r in config.radii:
             slack = verify.equality_slack(make_rotation(phi), r, order=config.order)
             rec = verify.make_verdict("equality-rotation", inst_id, r, abs(slack), 0.0, tol, config.order)
-            rows.append(_record_row(rec, "rotation", f"phi={phi:g}", GREEN_SPECTRAL))
+            yield rec, "rotation", f"phi={phi:g}", GREEN_SPECTRAL, 0.0
     for seed in config.seeds[:20]:
         bmap = mollify_map(make_random_homeomorphism(seed, roughness=0.5))
         coeffs = fourier_from_boundary(bmap, order=config.order)
@@ -284,9 +310,7 @@ def run_equality_suite(config: SweepConfig) -> list[dict]:
                 0.0,
                 config.order,
             )
-            rows.append(_record_row(rec, "random", f"seed={seed}", GREEN_SPECTRAL, est.error_indicator))
-    rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-    return rows
+            yield rec, "random", f"seed={seed}", GREEN_SPECTRAL, est.error_indicator
 
 
 def _schwarz_corpus(config: SweepConfig):
@@ -316,29 +340,24 @@ def _schwarz_corpus(config: SweepConfig):
         )
 
 
-def run_schwarz_suite(config: SweepConfig) -> list[dict]:
-    tol = config.tolerances.get("schwarz-bound", 1e-8)
-    rows = []
+@_suite
+def run_schwarz_suite(config: SweepConfig):
+    tol = config.tolerance("schwarz-bound")
     for inst in _schwarz_corpus(config):
-        t0 = time.perf_counter()
         rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, tol=tol, order=config.order)
-        rows.append(_record_row(rec, inst.family, inst.params, "", 0.0, (time.perf_counter() - t0) * 1e3))
+        yield rec, inst.family, inst.params, "", 0.0
     # sharpness of the two-value family: approach the majorant at r = 0.9
     step2 = make_step_map([math.pi / 2, 3 * math.pi / 2], [math.pi, TWO_PI])
-    from .poisson import eval_harmonic_step
-
     thetas = np.arange(256) * (TWO_PI / 256)
     reach = float(np.max(np.abs(eval_harmonic_step(step2, 0.9, thetas))))
     bound = float(verify.schwarz_bound(0.9))
     rec = verify.make_verdict("schwarz-sharpness", "step:2jump", 0.9, abs(bound - reach), 0.05, 0.05, 256)
-    rows.append(_record_row(rec, "step", "2-jump", ""))
-    rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-    return rows
+    yield rec, "step", "2-jump", "", 0.0
 
 
-def run_boundary_suite(config: SweepConfig) -> list[dict]:
-    tol = config.tolerances.get("boundary-flux", 1e-3)
-    rows = []
+@_suite
+def run_boundary_suite(config: SweepConfig):
+    tol = config.tolerance("boundary-flux")
     sources = [
         FamilyInstance("identity", "", "identity", family_coeffs("identity")),
         FamilyInstance("rotation", "phi=1", "rotation:1", family_coeffs("rotation", 1.0)),
@@ -346,14 +365,12 @@ def run_boundary_suite(config: SweepConfig) -> list[dict]:
     for a in (0.2, 0.4, 0.6):
         sources.append(FamilyInstance("mobius", f"a={a}", f"mobius:{a}", family_coeffs("mobius", a)))
     for inst in sources:
-        t0 = time.perf_counter()
         rec = verify.boundary_jacobian_integral(inst.source, tol=tol, map_id=inst.map_id)
-        rows.append(_record_row(rec, inst.family, inst.params, "", 0.0, (time.perf_counter() - t0) * 1e3))
-    rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-    return rows
+        yield rec, inst.family, inst.params, "", 0.0
 
 
-def run_convexity_suite(config: SweepConfig) -> list[dict]:
+@_suite
+def run_convexity_suite(config: SweepConfig):
     """Holomorphic convexity on injective series, and its designed failure for
     the harmonic shear family: ``config.families`` (default ``shear:0.3``),
     which must hold only ``shear:c`` specs."""
@@ -362,7 +379,6 @@ def run_convexity_suite(config: SweepConfig) -> list[dict]:
     if any(spec.split(":")[0] != "shear" for spec in specs):
         raise ConfigError("convexity --family expects shear:<c>")
     shears = [inst for spec in specs for inst in parse_family(spec)]
-    rows = []
     mobius = family_coeffs("mobius", 0.4)
     holomorphic = {
         "identity": [1.0],
@@ -375,7 +391,7 @@ def run_convexity_suite(config: SweepConfig) -> list[dict]:
             raise HypothesisViolationError(f"{map_id}: holomorphic test series failed the injectivity check")
         for r in config.radii:
             rec = verify.holomorphic_convexity_check(series, r, map_id=map_id)
-            rows.append(_record_row(rec, map_id.split(":")[0], "", ""))
+            yield rec, map_id.split(":")[0], "", "", 0.0
     # harmonic counterexample: the convexity comparison must fail, and the
     # suite passes exactly when it does
     for inst in shears:
@@ -383,12 +399,11 @@ def run_convexity_suite(config: SweepConfig) -> list[dict]:
             raw = verify.holomorphic_convexity_check(inst.source, r, map_id=inst.map_id)
             rec = verify.make_verdict("convexity-fails-for-shear", raw.map_id, raw.r, raw.lhs, raw.rhs,
                                       raw.tolerance, raw.resolution, direction="ge", holds=raw.lhs > raw.rhs)
-            rows.append(_record_row(rec, inst.family, inst.params, ""))
-    rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-    return rows
+            yield rec, inst.family, inst.params, "", 0.0
 
 
-def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 200) -> list[dict]:
+@_suite
+def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 200):
     """Checks of the proof's reduction: sign structure, identities, profile integrals.
 
     The map checks use the first five seeds of ``config.seeds``.  The profile
@@ -398,37 +413,27 @@ def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 
     """
     config.validate_radii()
     radii = tuple(config.radii)
-    rows = []
-    rows.append(_record_row(proof_checks.check_tangent_gap_signs(256, radii=radii)))
+    yield proof_checks.check_tangent_gap_signs(256, radii=radii), "", "", "", 0.0
     for r in radii:
-        rows.append(_record_row(proof_checks.check_mirror_pair_identity(min(r, 0.7))))
+        yield proof_checks.check_mirror_pair_identity(min(r, 0.7)), "", "", "", 0.0
     for seed in config.seeds[:5]:
         bmap = make_random_homeomorphism(seed, roughness=0.5)
         for r in radii:
             resid = proof_checks.cos_identity_residual(bmap, r, n_samples=512)
-            rec = verify.make_verdict(
-                "cos-identity", f"random:{seed}:0.5", r, resid, 0.0, 1e-8, 512
-            )
-            rows.append(_record_row(rec, "random", f"seed={seed}"))
-            rows.append(
-                _record_row(
-                    proof_checks.check_gap_double_integral(bmap, r, 512, map_id=f"random:{seed}:0.5"),
-                    "random",
-                    f"seed={seed}",
-                )
-            )
+            rec = verify.make_verdict("cos-identity", f"random:{seed}:0.5", r, resid, 0.0, 1e-8, 512)
+            yield rec, "random", f"seed={seed}", "", 0.0
+            rec = proof_checks.check_gap_double_integral(bmap, r, 512, map_id=f"random:{seed}:0.5")
+            yield rec, "random", f"seed={seed}", "", 0.0
 
     profile, chain, reflection = proof_checks.check_profile_family(radii, n_profiles, n_chains)
-    rows.append(_record_row(profile, "profile", f"count={n_profiles}"))
-    rows.append(_record_row(chain, "profile", f"count={n_chains}"))
-    rows.append(_record_row(reflection, "profile", f"count={n_chains}"))
+    yield profile, "profile", f"count={n_profiles}", "", 0.0
+    yield chain, "profile", f"count={n_chains}", "", 0.0
+    yield reflection, "profile", f"count={n_chains}", "", 0.0
 
     margin = proof_checks.strict_interior_positivity(256, radii=radii)
     rec = verify.make_verdict("strict-interior-positivity", "grid:256", max(radii),
                               margin, 1e-12, 0.0, 256, direction="ge")
-    rows.append(_record_row(rec, "grid", ""))
-    rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-    return rows
+    yield rec, "grid", "", "", 0.0
 
 
 _SUITE_RUNNERS = {

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .area import GREEN_SPECTRAL, HypothesisViolationError, estimate_area
-from .circle_maps import HOMEOMORPHISM, NONDECREASING_STEP, TWO_PI, BoundaryMap
+from .area import GREEN_SPECTRAL, HypothesisViolationError, estimate_area, spectral_area_sum
+from .circle_maps import HOMEOMORPHISM, NONDECREASING_STEP, TWO_PI, BoundaryMap, eval_lift
 from .poisson import (
     FourierCoeffs,
     _check_radius,
@@ -101,8 +101,6 @@ def equality_slack(bmap: BoundaryMap, r: float, order: int = 512) -> float:
 
 def lift_identity_deviation(bmap: BoundaryMap, n_samples: int = 4096) -> float:
     """sup over the grid of |lift(t) - t - const|: the testable isometry proxy."""
-    from .circle_maps import eval_lift
-
     t = np.arange(n_samples) * (TWO_PI / n_samples)
     dev = eval_lift(bmap, t) - t
     dev -= float(np.mean(dev))
@@ -230,9 +228,8 @@ def holomorphic_convexity_check(series, r: float, tol: float = 1e-12, map_id: st
     else:
         cs = np.asarray(series, dtype=complex)
         ns = np.arange(1, cs.size + 1)
-    weights = ns * np.abs(cs) ** 2
-    lhs = math.pi * float(np.sum(weights * r ** (2 * np.abs(ns))))
-    rhs = r * r * math.pi * float(np.sum(weights))
+    lhs = spectral_area_sum(ns, cs, r)
+    rhs = r * r * math.pi * float(np.sum(ns * np.abs(cs) ** 2))
     return make_verdict("holomorphic-convexity", map_id, r, lhs, rhs, tol, int(np.max(np.abs(ns))))
 
 

@@ -169,6 +169,22 @@ class TestVerifyCommand:
                                "--tol", "equality-rotation=1e-30")
         assert code == 1
 
+    def test_unknown_tolerance_name_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "equality", "--radii", "0.5",
+                                 "--tol", "area_contraction=1e-3")
+        assert code == 64
+        assert "area_contraction" in err and out == ""
+
+    def test_family_outside_convexity_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "boundary", "--family", "shear:0.3")
+        assert code == 64
+        assert "--family" in err and out == ""
+
+    def test_verify_conjugate_flag_removed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "boundary", "--conjugate")
+        assert code == 64
+        assert "usage error" in err and out == ""
+
     def test_bad_suite_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 64

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import diskarea as da
 from diskarea import pair_sums
-from diskarea.area import _kernel_direct_value, _kernel_fft_value
+from diskarea.area import _kernel_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +68,8 @@ class TestNumpyFallback:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             pair_sums.sin_pair_sum(np.zeros(4), np.zeros(5))
+        with pytest.raises(ValueError):
+            pair_sums.sin_pair_sum_fft(np.zeros(4), np.zeros(5))
         with pytest.raises(ValueError):
             pair_sums.gap_pair_sums(np.zeros(4), np.zeros(4), np.zeros(7))
 
@@ -155,6 +157,6 @@ class TestFFTAgainstDense:
     @example(m=511, seed=3, r=0.9)
     def test_kernel_fft_value_matches_direct(self, m, seed, r):
         bmap = da.make_random_homeomorphism(seed, roughness=0.5)
-        got = _kernel_fft_value(bmap, r, m)
-        want = _kernel_direct_value(bmap, r, m)
+        got = _kernel_value(bmap, r, m, pair_sums.sin_pair_sum_fft)
+        want = _kernel_value(bmap, r, m, pair_sums.sin_pair_sum)
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)

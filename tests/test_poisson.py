@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
-from diskarea.poisson import circle_theta_derivative, circle_values
+from diskarea.poisson import circle_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -236,7 +236,8 @@ class TestCircleGridEvaluation:
         thetas = np.arange(m) * (TWO_PI / m)
         direct = da.eval_harmonic(coeffs, 0.7, thetas)
         assert np.max(np.abs(grid - direct)) < 1e-12
-        gridd = circle_theta_derivative(coeffs, 0.7, m)
+        derivative = da.FourierCoeffs(1j * coeffs.indices * coeffs.coeffs, coeffs.order)
+        gridd = circle_values(derivative, 0.7, m)
         directd = da.eval_theta_derivative(coeffs, 0.7, thetas)
         assert np.max(np.abs(gridd - directd)) < 1e-12
 

@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +161,46 @@ class TestSuites:
         assert all(row["passed"] == "true" for row in shear_rows)
         with pytest.raises(runner.ConfigError):
             runner.run_convexity_suite(runner.SweepConfig(families=["identity"], radii=[0.5]))
+
+    @pytest.mark.parametrize(
+        "suite, kwargs, counts",
+        [
+            ("contraction", {}, {"area-contraction": 10}),
+            ("equality", {}, {"equality-rotation": 20, "equality-separation": 10}),
+            ("schwarz", {}, {"schwarz-bound": 6, "schwarz-sharpness": 1}),
+            ("boundary", {}, {"boundary-flux": 5}),
+            ("convexity", {}, {"convexity-fails-for-shear": 5, "holomorphic-convexity": 20}),
+            (
+                "proof",
+                {"n_profiles": 20, "n_chains": 10},
+                {"cos-identity": 10, "gap-double-integral": 10, "mirror-pair-identity": 5,
+                 "profile-gap-integral": 1, "reduction-chain": 1, "reflection-invariance": 1,
+                 "strict-interior-positivity": 1, "tangent-gap-signs": 1},
+            ),
+        ],
+    )
+    def test_rows_and_their_times(self, suite, kwargs, counts):
+        # each row is timed from the previous one, so no work is counted
+        # twice: with five radii per map, a per-map clock would count the
+        # Fourier extraction five times.  The second call is warm, so no
+        # one-off start-up cost in the elapsed time hides a double count.
+        config = runner.SweepConfig(radii=[0.1, 0.25, 0.5, 0.75, 0.9], seeds=[0, 1], mollify=[TWO_PI / 64])
+        for _ in range(2):
+            t0 = time.perf_counter()
+            rows = runner._SUITE_RUNNERS[suite](config, **kwargs)
+            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            assert collections.Counter(row["check_name"] for row in rows) == counts
+            times = [row["wall_time_ms"] for row in rows]
+            assert sum(times) <= elapsed_ms + 0.0005 * len(rows) + 1e-9
+            assert sum(times) > 0.0
+
+    def test_tolerance_table_defaults_and_overrides(self):
+        config = runner.SweepConfig(radii=[0.5], seeds=[0], mollify=[TWO_PI / 64])
+        (row,) = runner.run_contraction_suite(config)
+        assert row["tolerance"] == runner.TOLERANCES["area-contraction"] * math.pi * 0.25
+        config.tolerances = {"boundary-flux": 0.5}
+        rows = runner.run_boundary_suite(config)
+        assert {row["tolerance"] for row in rows} == {0.5}
 
     def test_exit_code_fail_dominates(self):
         rows = [{"passed": "true"}, {"passed": "inconclusive"}, {"passed": "false"}]

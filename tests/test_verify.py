@@ -137,6 +137,12 @@ class TestConvexity:
         # z^2 on the disk is 2-to-1: the winding test must flag it
         assert not da.winding_injectivity_check([0.0, 1.0])
 
+    @pytest.mark.parametrize("family, param", [("shear", 0.3), ("mobius", 0.4)])
+    @pytest.mark.parametrize("r", [0.25, 0.9])
+    def test_left_side_is_the_green_spectral_area(self, family, param, r):
+        coeffs = da.family_coeffs(family, param)
+        assert da.holomorphic_convexity_check(coeffs, r).lhs == da.area_green_spectral(coeffs, r).value
+
     def test_shear_fails_as_designed(self):
         # the harmonic shear breaks the holomorphic comparison at every
         # interior radius; the harness asserts the failure itself
