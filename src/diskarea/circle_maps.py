@@ -146,7 +146,6 @@ def make_mobius_boundary(a: complex, n_knots: int = 4096) -> BoundaryMap:
     z = np.exp(1j * t[:-1])
     ang = np.angle((z - a) / (1.0 - np.conj(a) * z))
     lift = np.unwrap(ang)
-    lift -= TWO_PI * math.floor(lift[0] / TWO_PI)
     lift = np.append(lift, lift[0] + TWO_PI)
     return BoundaryMap(knots_t=t, knots_lift=lift, omega=1.0 + 0.0j, kind=HOMEOMORPHISM)
 
@@ -229,7 +228,6 @@ def mollify_map(bmap: BoundaryMap, width: float = TWO_PI / 64, n_knots: int = 81
     damp = np.exp(-0.5 * (freqs * width) ** 2)
     zeta_s = np.fft.ifft(np.fft.fft(zeta) * damp).real
     lift = t + zeta_s
-    lift -= TWO_PI * math.floor(lift[0] / TWO_PI)
     knots_t = np.append(t, TWO_PI)
     knots_lift = np.append(lift, lift[0] + TWO_PI)
     return BoundaryMap(knots_t=knots_t, knots_lift=knots_lift, omega=bmap.omega, kind=bmap.kind)
@@ -242,12 +240,8 @@ def conjugate_map(bmap: BoundaryMap) -> BoundaryMap:
     data to the orientation-preserving form handled everywhere else.  The
     operation is an involution.
     """
-    t = (TWO_PI - bmap.knots_t[::-1]).copy()
-    lift = (-bmap.knots_lift[::-1]).copy()
-    t[0] = 0.0
-    t[-1] = TWO_PI
-    lift -= TWO_PI * math.floor(lift[0] / TWO_PI)
-    lift[-1] = lift[0] + TWO_PI
+    t = TWO_PI - bmap.knots_t[::-1]
+    lift = -bmap.knots_lift[::-1]
     return BoundaryMap(knots_t=t, knots_lift=lift, omega=np.conj(bmap.omega), kind=bmap.kind)
 
 

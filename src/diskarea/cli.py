@@ -22,7 +22,6 @@ from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
 from .runner import (
     AREA_COLUMNS,
     SUITES,
-    TOLERANCES,
     VERIFY_COLUMNS,
     ConfigError,
     SweepConfig,
@@ -33,7 +32,7 @@ from .runner import (
     run_area,
     run_suite,
 )
-from .verify import HypothesisViolationError
+from .verify import TOLERANCES, HypothesisViolationError
 
 USAGE_EXIT = 64
 DATAERR_EXIT = 65
@@ -132,7 +131,10 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"bad tolerance override {item!r}; expected check=value")
         if name not in TOLERANCES:
             raise ConfigError(f"no tolerance named {name!r} (choose from {', '.join(TOLERANCES)})")
-        tolerances[name] = float(value)
+        tol = float(value)
+        if not math.isfinite(tol) or tol < 0.0:
+            raise ConfigError(f"tolerance {item!r} must be finite and nonnegative")
+        tolerances[name] = tol
     config = SweepConfig(
         families=args.family or [],
         radii=radii,

@@ -295,10 +295,6 @@ def _cutoff_indices(v: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return np.where(fits.any(axis=1), half + last, half)
 
 
-def _cutoff_angle(g: MonotoneProfile) -> float:
-    return float(g.alphas[_cutoff_indices(g.values[None], g.alphas)[0]])
-
-
 def _trapezoid_terms(y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """The summands of ``np.trapezoid(y, alphas)`` along the last axis.
 

@@ -20,14 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import proof_checks, verify
-from .area import (
-    GREEN_SPECTRAL,
-    METHODS,
-    area_green_spectral,
-    estimate_area,
-    family_boundary_map,
-    family_coeffs,
-)
+from .area import GREEN_SPECTRAL, METHODS, estimate_area, family_boundary_map, family_coeffs
 from .circle_maps import (
     TWO_PI,
     BoundaryMap,
@@ -39,7 +32,7 @@ from .circle_maps import (
     mollify_map,
 )
 from .poisson import FourierCoeffs, eval_harmonic_step, fourier_from_boundary
-from .verify import HypothesisViolationError, VerdictRecord
+from .verify import TOLERANCES, HypothesisViolationError, VerdictRecord
 
 SCHEMA_VERSION = 1
 
@@ -65,14 +58,6 @@ VERIFY_COLUMNS = (
 MAX_RADIUS = 0.97  # kernel concentration cap for sweep radii
 
 SUITES = ("contraction", "equality", "schwarz", "boundary", "convexity", "proof", "all")
-
-# Default tolerance of each check whose tolerance --tol may override.
-TOLERANCES = {
-    "area-contraction": 1e-6,  # relative to the disk area pi r^2
-    "equality-rotation": 1e-8,
-    "schwarz-bound": 1e-8,
-    "boundary-flux": 1e-3,
-}
 
 
 class ConfigError(ValueError):
@@ -202,6 +187,8 @@ def _area_one(inst: FamilyInstance, r: float, method: str, config: SweepConfig):
 
 def run_area(config: SweepConfig) -> list[dict]:
     config.validate_radii()
+    if not config.methods:
+        raise ConfigError("at least one area method is required")
     for m in config.methods:
         if m not in METHODS:
             raise ConfigError(f"unknown area method {m!r} (choose from {sorted(METHODS)})")
@@ -216,41 +203,33 @@ def run_area(config: SweepConfig) -> list[dict]:
     return rows
 
 
-def _record_row(rec: VerdictRecord, family: str, params: str, method: str,
-                error_indicator: float, wall_ms: float) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "check_name": rec.check_name,
-        "map_id": rec.map_id,
-        "family": family,
-        "params": params,
-        "r": rec.r,
-        "method": method,
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "slack": rec.slack,
-        "tolerance": rec.tolerance,
-        "passed": "inconclusive" if rec.inconclusive else ("true" if rec.passed else "false"),
-        "resolution": rec.resolution,
-        "error_indicator": error_indicator,
-        "wall_time_ms": round(wall_ms, 3),
-    }
+def _record_row(rec: VerdictRecord, family: str, params: str, wall_ms: float) -> dict:
+    """The record's fields, with ``passed`` as true/false/inconclusive, plus the labels.
+
+    The fields are all scalars, so a shallow copy serves; ``dataclasses.asdict``
+    would deep-copy each one, at about 20 us a row.
+    """
+    row = dict(vars(rec))
+    inconclusive = row.pop("inconclusive")
+    row["passed"] = "inconclusive" if inconclusive else ("true" if rec.passed else "false")
+    row.update(schema=SCHEMA_VERSION, family=family, params=params, wall_time_ms=round(wall_ms, 3))
+    return row
 
 
 def _suite(checks):
-    """A suite from a generator of (record, family, params, method, error_indicator):
-    same arguments, sorted report rows.  Each row is timed from the previous
-    one (the first from the call), so a map's shared set-up lands on its
-    first row and the rows add up to the suite's wall time.
+    """A suite from a generator of (record, family, params): same arguments,
+    sorted report rows.  Each row is timed from the previous one (the first
+    from the call), so a map's shared set-up lands on its first row and the
+    rows add up to the suite's wall time.
     """
 
     @functools.wraps(checks)
     def suite(config: SweepConfig, *args, **kwargs) -> list[dict]:
         rows = []
         last = time.perf_counter()
-        for rec, family, params, method, error_indicator in checks(config, *args, **kwargs):
+        for rec, family, params in checks(config, *args, **kwargs):
             now = time.perf_counter()
-            rows.append(_record_row(rec, family, params, method, error_indicator, (now - last) * 1e3))
+            rows.append(_record_row(rec, family, params, (now - last) * 1e3))
             last = now
         rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
         return rows
@@ -273,16 +252,14 @@ def _contraction_tasks(config: SweepConfig):
 @_suite
 def run_contraction_suite(config: SweepConfig):
     config.validate_radii()
-    tol_scale = config.tolerance("area-contraction")
+    if not config.mollify:
+        raise ConfigError("at least one smoothing width is required")
+    scale = config.tolerance("area-contraction")
     for inst in _contraction_tasks(config):
         coeffs = fourier_from_boundary(inst.source, order=config.order)
         for r in config.radii:
-            est = area_green_spectral(coeffs, r)
-            disk = math.pi * r * r
-            rec = verify.make_verdict(
-                "area-contraction", inst.map_id, r, est.value, disk, tol_scale * disk, est.resolution
-            )
-            yield rec, inst.family, inst.params, GREEN_SPECTRAL, est.error_indicator
+            rec = verify.check_area_contraction(coeffs, r, tol=scale * (math.pi * r * r), map_id=inst.map_id)
+            yield rec, inst.family, inst.params
 
 
 @_suite
@@ -293,24 +270,19 @@ def run_equality_suite(config: SweepConfig):
         inst_id = f"rotation:{phi:g}"
         for r in config.radii:
             slack = verify.equality_slack(make_rotation(phi), r, order=config.order)
-            rec = verify.make_verdict("equality-rotation", inst_id, r, abs(slack), 0.0, tol, config.order)
-            yield rec, "rotation", f"phi={phi:g}", GREEN_SPECTRAL, 0.0
+            rec = verify.make_verdict("equality-rotation", inst_id, r, abs(slack), 0.0, tol, config.order,
+                                      method=GREEN_SPECTRAL)
+            yield rec, "rotation", f"phi={phi:g}"
+    # a non-rotation's contraction slack must stand clear of its resolution error
     for seed in config.seeds[:20]:
         bmap = mollify_map(make_random_homeomorphism(seed, roughness=0.5))
         coeffs = fourier_from_boundary(bmap, order=config.order)
         for r in config.radii:
-            est = area_green_spectral(coeffs, r)
-            slack = math.pi * r * r - est.value
-            rec = verify.make_verdict(
-                "equality-separation",
-                f"random:{seed}:0.5|moll",
-                r,
-                10.0 * est.error_indicator,
-                slack,
-                0.0,
-                config.order,
-            )
-            yield rec, "random", f"seed={seed}", GREEN_SPECTRAL, est.error_indicator
+            area = verify.check_area_contraction(coeffs, r)
+            rec = verify.make_verdict("equality-separation", f"random:{seed}:0.5|moll", r,
+                                      10.0 * area.error_indicator, area.slack, 0.0, config.order,
+                                      method=area.method, error_indicator=area.error_indicator)
+            yield rec, "random", f"seed={seed}"
 
 
 def _schwarz_corpus(config: SweepConfig):
@@ -345,14 +317,14 @@ def run_schwarz_suite(config: SweepConfig):
     tol = config.tolerance("schwarz-bound")
     for inst in _schwarz_corpus(config):
         rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, tol=tol, order=config.order)
-        yield rec, inst.family, inst.params, "", 0.0
+        yield rec, inst.family, inst.params
     # sharpness of the two-value family: approach the majorant at r = 0.9
     step2 = make_step_map([math.pi / 2, 3 * math.pi / 2], [math.pi, TWO_PI])
     thetas = np.arange(256) * (TWO_PI / 256)
     reach = float(np.max(np.abs(eval_harmonic_step(step2, 0.9, thetas))))
     bound = float(verify.schwarz_bound(0.9))
     rec = verify.make_verdict("schwarz-sharpness", "step:2jump", 0.9, abs(bound - reach), 0.05, 0.05, 256)
-    yield rec, "step", "2-jump", "", 0.0
+    yield rec, "step", "2-jump"
 
 
 @_suite
@@ -366,7 +338,7 @@ def run_boundary_suite(config: SweepConfig):
         sources.append(FamilyInstance("mobius", f"a={a}", f"mobius:{a}", family_coeffs("mobius", a)))
     for inst in sources:
         rec = verify.boundary_jacobian_integral(inst.source, tol=tol, map_id=inst.map_id)
-        yield rec, inst.family, inst.params, "", 0.0
+        yield rec, inst.family, inst.params
 
 
 @_suite
@@ -391,7 +363,7 @@ def run_convexity_suite(config: SweepConfig):
             raise HypothesisViolationError(f"{map_id}: holomorphic test series failed the injectivity check")
         for r in config.radii:
             rec = verify.holomorphic_convexity_check(series, r, map_id=map_id)
-            yield rec, map_id.split(":")[0], "", "", 0.0
+            yield rec, map_id.split(":")[0], ""
     # harmonic counterexample: the convexity comparison must fail, and the
     # suite passes exactly when it does
     for inst in shears:
@@ -399,7 +371,7 @@ def run_convexity_suite(config: SweepConfig):
             raw = verify.holomorphic_convexity_check(inst.source, r, map_id=inst.map_id)
             rec = verify.make_verdict("convexity-fails-for-shear", raw.map_id, raw.r, raw.lhs, raw.rhs,
                                       raw.tolerance, raw.resolution, direction="ge", holds=raw.lhs > raw.rhs)
-            yield rec, inst.family, inst.params, "", 0.0
+            yield rec, inst.family, inst.params
 
 
 @_suite
@@ -413,27 +385,27 @@ def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 
     """
     config.validate_radii()
     radii = tuple(config.radii)
-    yield proof_checks.check_tangent_gap_signs(256, radii=radii), "", "", "", 0.0
+    yield proof_checks.check_tangent_gap_signs(256, radii=radii), "", ""
     for r in radii:
-        yield proof_checks.check_mirror_pair_identity(min(r, 0.7)), "", "", "", 0.0
+        yield proof_checks.check_mirror_pair_identity(min(r, 0.7)), "", ""
     for seed in config.seeds[:5]:
         bmap = make_random_homeomorphism(seed, roughness=0.5)
         for r in radii:
             resid = proof_checks.cos_identity_residual(bmap, r, n_samples=512)
             rec = verify.make_verdict("cos-identity", f"random:{seed}:0.5", r, resid, 0.0, 1e-8, 512)
-            yield rec, "random", f"seed={seed}", "", 0.0
+            yield rec, "random", f"seed={seed}"
             rec = proof_checks.check_gap_double_integral(bmap, r, 512, map_id=f"random:{seed}:0.5")
-            yield rec, "random", f"seed={seed}", "", 0.0
+            yield rec, "random", f"seed={seed}"
 
     profile, chain, reflection = proof_checks.check_profile_family(radii, n_profiles, n_chains)
-    yield profile, "profile", f"count={n_profiles}", "", 0.0
-    yield chain, "profile", f"count={n_chains}", "", 0.0
-    yield reflection, "profile", f"count={n_chains}", "", 0.0
+    yield profile, "profile", f"count={n_profiles}"
+    yield chain, "profile", f"count={n_chains}"
+    yield reflection, "profile", f"count={n_chains}"
 
     margin = proof_checks.strict_interior_positivity(256, radii=radii)
     rec = verify.make_verdict("strict-interior-positivity", "grid:256", max(radii),
                               margin, 1e-12, 0.0, 256, direction="ge")
-    yield rec, "grid", "", "", 0.0
+    yield rec, "grid", ""
 
 
 _SUITE_RUNNERS = {

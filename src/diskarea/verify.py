@@ -6,7 +6,8 @@ Checks never raise on a numerical failure (a non-finite slack gives an
 inconclusive record); they raise only when the input violates the
 hypothesis of the statement being checked (a step map fed to a
 bijectivity-only check, an uncentered map fed to the Schwarz bound).
-``estimate_area`` is re-exported from :mod:`diskarea.area`.
+:data:`TOLERANCES` holds the default tolerance of each check that a sweep
+may override.  ``estimate_area`` is re-exported from :mod:`diskarea.area`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ from .poisson import (
     wirtinger_on_circle,
 )
 
+# Default tolerance of each check whose tolerance a sweep may override.
+TOLERANCES = {
+    "area-contraction": 1e-6,  # relative to the disk area pi r^2
+    "equality-rotation": 1e-8,
+    "schwarz-bound": 1e-8,
+    "boundary-flux": 1e-3,
+}
+
 
 @dataclass(frozen=True)
 class VerdictRecord:
@@ -43,20 +52,24 @@ class VerdictRecord:
     passed: bool
     resolution: int
     inconclusive: bool = False
+    method: str = ""
+    error_indicator: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
 
 def make_verdict(
-    check_name, map_id, r, lhs, rhs, tolerance, resolution, inconclusive=False, direction="le", holds=True
+    check_name, map_id, r, lhs, rhs, tolerance, resolution, inconclusive=False, direction="le", holds=True,
+    method="", error_indicator=0.0,
 ) -> VerdictRecord:
     """Record for an inequality check; pass iff slack >= -tolerance and ``holds``.
 
     slack = rhs - lhs for a ``le`` check (lhs <= rhs), lhs - rhs for ``ge``.
     ``holds`` carries the further conditions of a compound check.  A
-    non-finite slack makes the record inconclusive.  This is the only place
-    a VerdictRecord is built.
+    non-finite slack makes the record inconclusive.  ``method`` and
+    ``error_indicator`` name the area estimate behind lhs, if any.  This is
+    the only place a VerdictRecord is built.
     """
     slack = rhs - lhs if direction == "le" else lhs - rhs
     inconclusive = bool(inconclusive) or not math.isfinite(slack)
@@ -71,26 +84,33 @@ def make_verdict(
         passed=bool(slack >= -tolerance) and bool(holds) and not inconclusive,
         resolution=int(resolution),
         inconclusive=inconclusive,
+        method=method,
+        error_indicator=float(error_indicator),
     )
 
 
 def check_area_contraction(
-    bmap: BoundaryMap,
+    source: BoundaryMap | FourierCoeffs,
     r: float,
     method: str = GREEN_SPECTRAL,
     tol: float | None = None,
     map_id: str = "",
     order: int = 512,
 ) -> VerdictRecord:
-    """Image area of the concentric disk must not exceed pi r^2 (bijective maps)."""
-    r = _check_radius(r, allow_zero=False)
-    if bmap.kind != HOMEOMORPHISM:
+    """Image area of the concentric disk must not exceed pi r^2 (bijective maps).
+
+    ``source`` is a boundary map, which must be a homeomorphism, or its
+    Fourier coefficients.  ``tol`` None means the tabled tolerance relative
+    to pi r^2.
+    """
+    if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
         raise HypothesisViolationError("area contraction is asserted for homeomorphisms only")
+    est = estimate_area(source, r, method, order=order)  # every estimator checks r
     disk = math.pi * r * r
     if tol is None:
-        tol = 1e-6 * disk
-    est = estimate_area(bmap, r, method, order=order)
-    return make_verdict("area-contraction", map_id, r, est.value, disk, tol, est.resolution)
+        tol = TOLERANCES["area-contraction"] * disk
+    return make_verdict("area-contraction", map_id, r, est.value, disk, tol, est.resolution,
+                        method=est.method, error_indicator=est.error_indicator)
 
 
 def equality_slack(bmap: BoundaryMap, r: float, order: int = 512) -> float:
@@ -117,7 +137,7 @@ def schwarz_bound_check(
     center_shift: complex = 0j,
     radii=None,
     n_theta: int = 64,
-    tol: float = 1e-8,
+    tol: float = TOLERANCES["schwarz-bound"],
     map_id: str = "",
     order: int = 512,
     center_tol: float = 1e-10,
@@ -189,7 +209,7 @@ def boundary_jacobian_integral(
     eps_list=(0.04, 0.02, 0.01),
     n_theta: int = 1024,
     order: int = 256,
-    tol: float = 1e-3,
+    tol: float = TOLERANCES["boundary-flux"],
     map_id: str = "",
 ) -> VerdictRecord:
     """Extrapolated boundary integral of |det Df| must be at least 2*pi.

@@ -217,6 +217,13 @@ class TestSerialization:
         assert da.map_hash(random_map) == da.map_hash(random_map)
         assert da.map_hash(random_map) != da.map_hash(da.make_identity())
 
+    def test_hashes_of_derived_maps_pinned(self):
+        # the constructor alone normalises a lift; derived maps keep their bits
+        moll = da.mollify_map(da.make_random_homeomorphism(0))
+        assert da.map_hash(moll) == "1fd04540af96"
+        assert da.map_hash(da.conjugate_map(moll)) == "57522fae04a5"
+        assert da.map_hash(da.make_mobius_boundary(0.5 + 0.3j)) == "e1b7d1ea2bca"
+
     def test_hash_covers_kind_omega_and_every_knot_bit(self, random_map):
         t, lift = random_map.knots_t, random_map.knots_lift
 

@@ -67,6 +67,11 @@ class TestAreaCommand:
                 assert code == 64, (method, resolution)
                 assert "n_samples" in err and out == ""
 
+    def test_empty_method_list_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "area", "--family", "identity", "--r", "0.5", "--method", ",")
+        assert code == 64
+        assert "area method" in err and out == ""
+
     def test_hypothesis_violation_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "area", "--family", "shear:0.3", "--r", "0.5",
                                  "--method", "kernel-fft")
@@ -148,10 +153,9 @@ class TestVerifyCommand:
 
     def test_non_finite_area_is_inconclusive(self, capsys, monkeypatch):
         import diskarea as da
-        from diskarea import runner
 
-        nan_area = lambda coeffs, r: da.AreaEstimate(math.nan, "green-spectral", 8, 0.0)
-        monkeypatch.setattr(runner, "area_green_spectral", nan_area)
+        nan_area = lambda coeffs, r, order: da.AreaEstimate(math.nan, "green-spectral", 8, 0.0)
+        monkeypatch.setattr(da.area, "area_green_spectral", nan_area)
         code, out, err = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "0..0",
                                  "--radii", "0.5", "--mollify", "0.5", "--order", "8")
         assert code == 2
@@ -174,6 +178,19 @@ class TestVerifyCommand:
                                  "--tol", "area_contraction=1e-3")
         assert code == 64
         assert "area_contraction" in err and out == ""
+
+    def test_non_finite_or_negative_tolerance_usage_error(self, capsys):
+        for value in ("inf", "nan", "-1"):
+            code, out, err = run_cli(capsys, "verify", "--suite", "boundary",
+                                     "--tol", f"boundary-flux={value}")
+            assert code == 64, value
+            assert "finite and nonnegative" in err and out == ""
+
+    def test_empty_mollify_list_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "0..0",
+                                 "--radii", "0.5", "--mollify", ",")
+        assert code == 64
+        assert "smoothing width" in err and out == ""
 
     def test_family_outside_convexity_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "boundary", "--family", "shear:0.3")

@@ -5,7 +5,6 @@ import pytest
 
 import diskarea as da
 from diskarea import proof_checks as pc
-from diskarea.proof_checks import _cutoff_angle
 from diskarea.verify import make_verdict
 
 TWO_PI = 2.0 * math.pi
@@ -228,7 +227,7 @@ class TestProfileGapIntegral:
         g = da.MonotoneProfile(vals)
         assert g.at_midpoint() > math.pi  # forces reflection inside the integral
         refl = da.reflect_profile(g)
-        assert _cutoff_angle(refl) >= math.pi
+        assert da.profile_gap_integral(refl, 0.5)[1] >= math.pi
 
 
 class TestReductionChain:

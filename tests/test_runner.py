@@ -202,6 +202,19 @@ class TestSuites:
         rows = runner.run_boundary_suite(config)
         assert {row["tolerance"] for row in rows} == {0.5}
 
+    def test_contraction_rows_are_the_check_records(self):
+        # a low order leaves a nonzero error indicator on every row
+        config = runner.SweepConfig(radii=[0.3, 0.9], seeds=[4], mollify=[TWO_PI / 32, TWO_PI / 128], order=16)
+        rows = runner.run_contraction_suite(config)
+        assert len(rows) == 4
+        for row in rows:
+            (inst,) = [i for i in runner._contraction_tasks(config) if i.map_id == row["map_id"]]
+            coeffs = da.fourier_from_boundary(inst.source, order=config.order)
+            rec = da.check_area_contraction(coeffs, row["r"])
+            for key in ("lhs", "error_indicator", "method", "tolerance"):
+                assert row[key] == getattr(rec, key), key
+            assert row["error_indicator"] > 0.0
+
     def test_exit_code_fail_dominates(self):
         rows = [{"passed": "true"}, {"passed": "inconclusive"}, {"passed": "false"}]
         assert runner.exit_code_for(rows) == 1

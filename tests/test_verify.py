@@ -32,6 +32,19 @@ class TestAreaContraction:
                 assert rec.passed
                 assert rec.slack > 0
 
+    def test_accepts_coefficients(self):
+        coeffs = da.family_coeffs("shear", 0.3)
+        rec = da.check_area_contraction(coeffs, 0.5)
+        est = da.area_green_spectral(coeffs, 0.5)
+        assert rec.passed
+        assert rec.method == "green-spectral"
+        assert rec.lhs == est.value
+        assert rec.error_indicator == est.error_indicator
+
+    def test_default_tolerance_is_tabled(self, mobius_half):
+        rec = da.check_area_contraction(mobius_half, 0.5)
+        assert rec.tolerance == da.verify.TOLERANCES["area-contraction"] * (math.pi * 0.25)
+
     def test_verdict_invariants(self, mobius_half):
         rec = da.check_area_contraction(mobius_half, 0.5)
         assert rec.passed == (rec.slack >= -rec.tolerance)
@@ -165,7 +178,7 @@ class TestVerdictPlumbing:
         assert doc["passed"] is True
         assert list(doc) == [
             "check_name", "map_id", "r", "lhs", "rhs", "slack",
-            "tolerance", "passed", "resolution", "inconclusive",
+            "tolerance", "passed", "resolution", "inconclusive", "method", "error_indicator",
         ]
 
     def test_ge_direction(self):
@@ -192,3 +205,4 @@ class TestVerdictPlumbing:
         for order in (8, 64):
             rec = da.check_area_contraction(bmap, 0.9, method="jacobian", order=order)
             assert rec.lhs == da.area_jacobian_grid(bmap, 0.9, order=order).value
+            assert rec.method == "jacobian"
