@@ -1,9 +1,10 @@
 """Area of the harmonic image of a concentric disk, by several independent routes.
 
-Five estimators are provided: a spectral and a quadrature form of the
-boundary-flux (Green) formula, a direct O(M^2) double sum of the
-antisymmetric pair kernel against sin of lift differences, an FFT
-rearrangement of the same finite sum costing O(M log M), and midpoint
+Five estimators are provided: the boundary-flux (Green) formula as a sum
+over Fourier coefficients, the same formula by trapezoid quadrature of the
+Poisson integral of the boundary samples (no coefficients), a direct O(M^2)
+double sum of the antisymmetric pair kernel against sin of lift differences,
+an FFT rearrangement of the same finite sum costing O(M log M), and midpoint
 integration of the Jacobian determinant on a polar grid.  Closed forms for
 the exact test families round out the set.  All values are absolute areas:
 the identity at radius r gives pi * r^2.
@@ -22,11 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pair_sums
-from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, eval_lift, make_identity, make_mobius_boundary, make_rotation
+from .circle_maps import (HOMEOMORPHISM, TWO_PI, BoundaryMap, boundary_values, eval_lift, make_identity,
+                          make_mobius_boundary, make_rotation)
 from .poisson import (
     FourierCoeffs,
     _check_radius,
-    circle_values,
     fourier_from_boundary,
     poisson_kernel,
     poisson_kernel_deriv,
@@ -148,14 +149,22 @@ def area_green_spectral(source: BoundaryMap | FourierCoeffs, r: float, order: in
 
 
 def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) -> AreaEstimate:
-    """(1/2) int Im(conj(f) f_theta) dtheta by uniform trapezoid on the circle."""
+    """(1/2) int Im(conj(f) f_theta) dtheta by uniform trapezoid on the circle.
+
+    f and f_theta at the sample angles are the trapezoid Poisson integral of
+    the boundary samples against P_r and dP_r/dt: circular convolutions, each
+    one FFT product.  No Fourier coefficients are extracted or truncated.
+    """
     r = _check_radius(r, allow_zero=False)
+    if n_samples < 2:
+        raise ValueError("green quadrature needs n_samples >= 2")
 
     def value(m: int) -> float:
-        coeffs = _coeffs_for(bmap, order=m // 4)
-        f = circle_values(coeffs, r, m)
-        ft = circle_values(FourierCoeffs(1j * coeffs.indices * coeffs.coeffs, coeffs.order), r, m)
-        return float(np.mean(np.imag(np.conj(f) * ft))) * math.pi
+        t = np.arange(m) * (TWO_PI / m)
+        spectrum = np.fft.fft(boundary_values(bmap, t))
+        f = np.fft.ifft(spectrum * np.fft.fft(poisson_kernel(r, t)))
+        ft = np.fft.ifft(spectrum * np.fft.fft(poisson_kernel_deriv(r, t)))
+        return math.pi * float(np.mean(np.imag(np.conj(f) * ft))) / (m * m)
 
     full = value(n_samples)
     half = value(n_samples // 2)

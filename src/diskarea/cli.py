@@ -162,6 +162,8 @@ BENCH_COLUMNS = ("schema", "map_id", "r", "method", "resolution", "value", "rel_
 
 def _cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",") if x]
+    if not sizes:
+        raise ConfigError("--sizes lists no size")
     if args.repeat < 1:
         raise ConfigError("--repeat must be at least 1")
     if any(m < 2 for m in sizes):

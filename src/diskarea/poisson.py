@@ -200,19 +200,6 @@ def eval_harmonic_direct(bmap: BoundaryMap, r: float, theta: float, n_samples: i
     return complex(np.mean(vals))
 
 
-def circle_values(coeffs: FourierCoeffs, r: float, n_samples: int) -> np.ndarray:
-    """f(r e^{i theta_k}) on the uniform grid theta_k = 2 pi k / n, via one inverse FFT."""
-    r = _check_radius(r)
-    n = coeffs.order
-    if n_samples < 2 * n + 1:
-        raise ValueError("n_samples must exceed twice the truncation order")
-    spectrum = np.zeros(n_samples, dtype=complex)
-    damp = coeffs.coeffs * r ** np.abs(coeffs.indices)
-    spectrum[: n + 1] = damp[n:]
-    spectrum[n_samples - n :] = damp[:n]
-    return np.fft.ifft(spectrum) * n_samples
-
-
 def wirtinger_on_circle(coeffs: FourierCoeffs, rho, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(dz f, conj of dzbar f) on the circle of radius rho.
 

@@ -134,37 +134,33 @@ def schwarz_bound(radii):
 
 def schwarz_bound_check(
     bmap: BoundaryMap,
-    center_shift: complex = 0j,
     radii=None,
     n_theta: int = 64,
     tol: float = TOLERANCES["schwarz-bound"],
     map_id: str = "",
     order: int = 512,
-    center_tol: float = 1e-10,
 ) -> VerdictRecord:
     """Max over a polar grid of |f| - (4/pi) arctan r must stay <= 0.
 
     The bound needs f(0) = 0, so the boundary data must already be centered;
     no recentering is applied (postcomposition with a disk automorphism does
-    not preserve harmonicity).  ``center_shift`` asserts the expected center
-    and must be ~0.
+    not preserve harmonicity).  An uncentered map, |f(0)| > 1e-10, raises
+    HypothesisViolationError.
     """
-    if abs(complex(center_shift)) > center_tol:
-        raise HypothesisViolationError("only center_shift ~ 0 is admissible; see the bound's normalization")
     if radii is None:
         radii = np.linspace(0.015, 0.96, 64)
     radii = np.asarray(radii, dtype=float)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     if bmap.kind == NONDECREASING_STEP:
         center = eval_harmonic_step(bmap, 0.0, 0.0)
-        if abs(center - center_shift) > center_tol:
+        if abs(center) > 1e-10:
             raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")
         vals = eval_harmonic_step(bmap, radii, thetas)
         resolution = bmap.n_knots
     else:
         coeffs = fourier_from_boundary(bmap, order=order)
         center = coeffs.coeff(0)
-        if abs(center - center_shift) > center_tol:
+        if abs(center) > 1e-10:
             raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")
         vals = eval_harmonic(coeffs, radii, thetas)
         resolution = order

@@ -108,6 +108,38 @@ class TestGreenSpectral:
             assert abs(da.area_green_spectral(coeffs, r).value - want) < 1e-14
 
 
+class TestGreenQuadrature:
+    def test_independent_of_fourier_extraction(self, mollified_map, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("green-quadrature must not extract coefficients")
+
+        monkeypatch.setattr(area, "fourier_from_boundary", refuse)
+        est = da.area_green_quadrature(mollified_map, 0.6, 1024)
+        assert math.isfinite(est.value) and est.value > 0
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.97])
+    @pytest.mark.parametrize("mollified", [False, True])
+    def test_matches_green_spectral_at_quarter_order(self, r, mollified):
+        bmap = da.make_random_homeomorphism(3, roughness=0.5)
+        if mollified:
+            bmap = da.mollify_map(bmap)
+        quad = da.area_green_quadrature(bmap, r, 1024).value
+        spectral = da.area_green_spectral(bmap, r, order=256).value
+        assert abs(quad - spectral) < 1e-10
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_rejects_fewer_than_two_samples(self, m):
+        with pytest.raises(ValueError, match="n_samples"):
+            da.area_green_quadrature(da.make_identity(), 0.5, m)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    def test_mobius_closed_form(self, r):
+        a = 0.3 + 0.1j
+        est = da.area_green_quadrature(da.make_mobius_boundary(a), r, 4096)
+        exact = da.exact_family_area("mobius", r, a).value
+        assert abs(est.value - exact) < 1e-8 * math.pi * r * r
+
+
 class TestJacobianGrid:
     def test_identity_exact(self):
         est = da.area_jacobian_grid(da.family_coeffs("identity"), 0.7, 256, 64)

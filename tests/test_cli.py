@@ -251,6 +251,11 @@ class TestBenchCommand:
             assert code == 64, argv
             assert "usage error" in err and out == ""
 
+    def test_empty_size_list_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--sizes", ",", "--repeat", "1")
+        assert code == 64
+        assert "--sizes" in err and out == ""
+
     def test_radius_outside_open_disk_usage_error(self, capsys):
         for r in ("0", "1", "-0.5"):
             code, out, err = run_cli(capsys, "bench", "--sizes", "64", "--repeat", "1", "--r", r)

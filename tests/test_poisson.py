@@ -5,7 +5,6 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
-from diskarea.poisson import circle_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,20 +225,6 @@ class TestWirtinger:
             sh, sg = da.wirtinger_on_circle(coeffs, rho, thetas)
             np.testing.assert_allclose(dh[i], sh, rtol=1e-14, atol=1e-15)
             np.testing.assert_allclose(dg[i], sg, rtol=1e-14, atol=1e-15)
-
-
-class TestCircleGridEvaluation:
-    def test_matches_pointwise_eval(self, mollified_map):
-        coeffs = da.fourier_from_boundary(mollified_map, order=128)
-        m = 512
-        grid = circle_values(coeffs, 0.7, m)
-        thetas = np.arange(m) * (TWO_PI / m)
-        direct = da.eval_harmonic(coeffs, 0.7, thetas)
-        assert np.max(np.abs(grid - direct)) < 1e-12
-        derivative = da.FourierCoeffs(1j * coeffs.indices * coeffs.coeffs, coeffs.order)
-        gridd = circle_values(derivative, 0.7, m)
-        directd = da.eval_theta_derivative(coeffs, 0.7, thetas)
-        assert np.max(np.abs(gridd - directd)) < 1e-12
 
 
 class TestStepEvaluator:

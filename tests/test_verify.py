@@ -99,9 +99,10 @@ class TestSchwarzBound:
         with pytest.raises(da.HypothesisViolationError):
             da.schwarz_bound_check(random_map)
 
-    def test_nonzero_center_shift_rejected(self, random_map):
+    def test_uncentered_step_map_rejected(self):
+        # lift 0 on a quarter of the circle and pi/2 on the rest: f(0) = (1 + 3i) / 4
         with pytest.raises(da.HypothesisViolationError):
-            da.schwarz_bound_check(random_map, center_shift=0.2 + 0.1j)
+            da.schwarz_bound_check(da.make_step_map([0.0, math.pi / 2], [0.0, math.pi / 2]))
 
 
 class TestBoundaryFlux:
