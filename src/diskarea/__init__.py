@@ -47,10 +47,10 @@ from .circle_maps import (
 )
 from .poisson import (
     FourierCoeffs,
+    UniformGrid,
     eval_harmonic,
     eval_harmonic_direct,
     eval_harmonic_step,
-    eval_theta_derivative,
     fourier_from_boundary,
     poisson_kernel,
     poisson_kernel_deriv,
@@ -85,7 +85,7 @@ from .verify import (
     lift_identity_deviation,
     schwarz_bound,
     schwarz_bound_check,
-    winding_injectivity_check,
+    univalence_margin,
 )
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .circle_maps import (HOMEOMORPHISM, TWO_PI, BoundaryMap, boundary_values, e
                           make_mobius_boundary, make_rotation)
 from .poisson import (
     FourierCoeffs,
+    UniformGrid,
     _check_radius,
     fourier_from_boundary,
     poisson_kernel,
@@ -130,21 +131,34 @@ def _coeffs_for(source: BoundaryMap | FourierCoeffs, order: int) -> FourierCoeff
     return fourier_from_boundary(source, order=order)
 
 
+def _spectral_terms(ns, cs, r: float) -> np.ndarray:
+    """The terms n |c_n|^2 r^{2|n|} of the spectral area sum."""
+    return ns * np.abs(cs) ** 2 * r ** (2 * np.abs(ns))
+
+
 def spectral_area_sum(ns, cs, r: float) -> float:
     """pi * sum over n of n |c_n|^2 r^{2|n|} for indices ``ns`` and coefficients ``cs``."""
-    return math.pi * float(np.sum(ns * np.abs(cs) ** 2 * r ** (2 * np.abs(ns))))
+    return math.pi * float(np.sum(_spectral_terms(ns, cs, r)))
 
 
 def area_green_spectral(source: BoundaryMap | FourierCoeffs, r: float, order: int = 256) -> AreaEstimate:
     """:func:`spectral_area_sum` of the series; negative indices count negatively.
 
-    Boundary input is extracted at ``order`` first.
+    Boundary input is extracted at ``order`` first.  The error indicator is
+    the change from the sum truncated at half the order.  A series with
+    exact zeros is a closed form listed by its nonzero terms, not a
+    truncation, so its half sum keeps every nonzero term (the shear z +
+    c conj(z)^2 has order 2, and halving it would drop c_{-2}).
     """
     r = _check_radius(r, allow_zero=False)
     coeffs = _coeffs_for(source, order)
-    half_coeffs = coeffs.truncated(max(1, coeffs.order // 2))
-    full = spectral_area_sum(coeffs.indices, coeffs.coeffs, r)
-    half = spectral_area_sum(half_coeffs.indices, half_coeffs.coeffs, r)
+    ns, cs = coeffs.indices, coeffs.coeffs
+    half_order = max(1, coeffs.order // 2)
+    if not np.all(cs):
+        half_order = max(half_order, int(np.max(np.abs(ns[cs != 0]), initial=0)))
+    terms = _spectral_terms(ns, cs, r)
+    full = math.pi * float(np.sum(terms))
+    half = math.pi * float(np.sum(terms[coeffs.order - half_order : coeffs.order + half_order + 1]))
     return AreaEstimate(full, GREEN_SPECTRAL, coeffs.order, abs(full - half))
 
 
@@ -203,8 +217,7 @@ def area_kernel_fft(bmap: BoundaryMap, r: float, n_samples: int | None = None) -
 
 def _jacobian_value(coeffs: FourierCoeffs, r: float, n_rho: int, n_theta: int) -> float:
     rho = (np.arange(n_rho) + 0.5) * (r / n_rho)
-    thetas = (np.arange(n_theta) + 0.5) * (TWO_PI / n_theta)
-    dh, dg = wirtinger_on_circle(coeffs, rho, thetas)
+    dh, dg = wirtinger_on_circle(coeffs, rho, UniformGrid(n_theta, math.pi / n_theta))
     det = np.abs(dh) ** 2 - np.abs(dg) ** 2
     # add the rings one after another (accumulate is sequential), so the sum
     # does not depend on how a dot product would block it

@@ -341,26 +341,34 @@ def run_boundary_suite(config: SweepConfig):
         yield rec, inst.family, inst.params
 
 
+# The convexity suite's holomorphic series c_1..c_N, each certified univalent
+# by verify.univalence_margin before it is used.
+HOLOMORPHIC_SERIES = {
+    "identity": [1.0],
+    "rotation:1": [np.exp(1j)],
+    "perturbed": [1.0, 0.1],
+    "mobius:0.4": family_coeffs("mobius", 0.4).coeffs[65:],  # c_1..c_64 of the order-64 series
+}
+
+
 @_suite
 def run_convexity_suite(config: SweepConfig):
-    """Holomorphic convexity on injective series, and its designed failure for
+    """Holomorphic convexity on univalent series, and its designed failure for
     the harmonic shear family: ``config.families`` (default ``shear:0.3``),
-    which must hold only ``shear:c`` specs."""
+    which must hold only ``shear:c`` specs.  A series of
+    :data:`HOLOMORPHIC_SERIES` without a positive
+    :func:`verify.univalence_margin` raises HypothesisViolationError."""
     config.validate_radii()
     specs = config.families or ["shear:0.3"]
     if any(spec.split(":")[0] != "shear" for spec in specs):
         raise ConfigError("convexity --family expects shear:<c>")
     shears = [inst for spec in specs for inst in parse_family(spec)]
-    mobius = family_coeffs("mobius", 0.4)
-    holomorphic = {
-        "identity": [1.0],
-        "rotation:1": [np.exp(1j)],
-        "perturbed": [1.0, 0.1],
-        "mobius:0.4": mobius.coeffs[mobius.order + 1 :],
-    }
-    for map_id, series in holomorphic.items():
-        if not verify.winding_injectivity_check(series):
-            raise HypothesisViolationError(f"{map_id}: holomorphic test series failed the injectivity check")
+    for map_id, series in HOLOMORPHIC_SERIES.items():
+        margin = verify.univalence_margin(series)
+        if not margin > 0:
+            raise HypothesisViolationError(
+                f"{map_id}: holomorphic test series is not certified univalent (margin {margin:.3g})"
+            )
         for r in config.radii:
             rec = verify.holomorphic_convexity_check(series, r, map_id=map_id)
             yield rec, map_id.split(":")[0], ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import diskarea as da
-from diskarea import area, pair_sums
+from diskarea import area, pair_sums, runner
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +106,22 @@ class TestGreenSpectral:
         for r in (0.4, 0.8):
             want = da.exact_family_area("shear", r, 0.3).value
             assert abs(da.area_green_spectral(coeffs, r).value - want) < 1e-14
+
+    def test_shear_row_indicator_is_zero(self):
+        # the order-2 series is exact; halving it used to drop c_{-2} and report 0.0353
+        config = runner.SweepConfig(families=["shear:0.3"], radii=[0.5], methods=["green-spectral", "exact"])
+        exact, spectral = runner.run_area(config)
+        assert spectral["method"] == "green-spectral"
+        assert spectral["value"] == exact["value"]
+        assert spectral["error_indicator"] == 0.0
+
+    def test_extracted_series_indicator_is_the_half_order_change(self, mollified_map):
+        # no exact zeros: the half sum is the series truncated at half the order
+        coeffs = da.fourier_from_boundary(mollified_map, order=16)
+        est = da.area_green_spectral(coeffs, 0.9)
+        half = coeffs.truncated(8)
+        want = abs(est.value - da.area.spectral_area_sum(half.indices, half.coeffs, 0.9))
+        assert est.error_indicator == want > 0
 
 
 class TestGreenQuadrature:

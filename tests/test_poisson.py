@@ -9,6 +9,27 @@ import diskarea as da
 TWO_PI = 2.0 * math.pi
 
 
+def horner(coeffs, r, thetas):
+    """Independent reference: sum c_n r^|n| e^{i n theta} by Horner in w = r e^{i theta} and conj(w)."""
+    n = coeffs.order
+    w = r * np.exp(1j * np.asarray(thetas, dtype=float))
+    return polyval(w, coeffs.coeffs[n:]) + np.conj(w) * polyval(np.conj(w), coeffs.coeffs[:n][::-1])
+
+
+def eval_theta_derivative(coeffs, r, theta):
+    """Oracle for the angular derivative sum (i n) c_n r^|n| e^{i n theta}, by Horner.
+
+    With w = r e^{i theta}, the n > 0 terms are i w sum n c_n w^{n-1} and the
+    n < 0 terms are -i conj(w) sum n c_{-n} conj(w)^{n-1}.
+    """
+    n = coeffs.order
+    k = np.arange(1, n + 1)
+    w = r * np.exp(1j * np.asarray(theta, dtype=float))
+    ahead = w * polyval(w, k * coeffs.coeffs[n + 1 :])
+    behind = np.conj(w) * polyval(np.conj(w), k * coeffs.coeffs[:n][::-1])
+    return 1j * (ahead - behind)
+
+
 class TestPoissonKernel:
     def test_center_is_one(self):
         for t in (0.0, 1.0, math.pi, 5.0):
@@ -190,17 +211,105 @@ class TestThetaDerivative:
     def test_identity(self):
         coeffs = da.fourier_from_boundary(da.make_identity(), order=8)
         want = 1j * 0.6 * np.exp(1j * 1.1)
-        assert abs(da.eval_theta_derivative(coeffs, 0.6, 1.1) - want) < 1e-12
+        assert abs(eval_theta_derivative(coeffs, 0.6, 1.1) - want) < 1e-12
 
     def test_center_vanishes(self, random_map):
         coeffs = da.fourier_from_boundary(random_map, order=64)
-        assert abs(da.eval_theta_derivative(coeffs, 0.0, 0.3)) < 1e-15
+        assert abs(eval_theta_derivative(coeffs, 0.0, 0.3)) < 1e-15
 
     def test_central_difference_oracle(self, mollified_map):
         coeffs = da.fourier_from_boundary(mollified_map, order=256)
         r, th, h = 0.7, 0.9, 1e-5
         fd = (da.eval_harmonic(coeffs, r, th + h) - da.eval_harmonic(coeffs, r, th - h)) / (2 * h)
-        assert abs(fd - da.eval_theta_derivative(coeffs, r, th)) < 1e-7
+        assert abs(fd - eval_theta_derivative(coeffs, r, th)) < 1e-7
+
+
+class TestGridEvaluation:
+    """The uniform-grid path of the series evaluator against Horner at the grid's angles."""
+
+    RADII = np.array([0.0, 0.3, 0.9, 0.97])
+
+    def check_against_horner(self, coeffs, grid):
+        values = da.eval_harmonic(coeffs, self.RADII, grid)
+        assert values.shape == (self.RADII.size, grid.n_theta)
+        for row, r in zip(values, self.RADII):
+            assert np.max(np.abs(row - horner(coeffs, r, grid.angles))) < 1e-13
+
+    def test_more_terms_than_angles(self, mollified_map):
+        # 1025 terms fold into 64 bins
+        self.check_against_horner(da.fourier_from_boundary(mollified_map, order=512), da.UniformGrid(64))
+
+    def test_fewer_terms_than_angles(self, mollified_map):
+        self.check_against_horner(da.fourier_from_boundary(mollified_map, order=64), da.UniformGrid(1024))
+
+    def test_fold_starts_inside_a_row(self, mollified_map):
+        # the lowest index -100 is 28 mod 64, so the first folded row is partial
+        self.check_against_horner(da.fourier_from_boundary(mollified_map, order=100), da.UniformGrid(64))
+
+    @pytest.mark.parametrize("order, n_theta", [(64, 512), (512, 64)])
+    def test_half_step_shift(self, mollified_map, order, n_theta):
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        grid = da.UniformGrid(n_theta, math.pi / n_theta)
+        assert np.allclose(grid.angles, (np.arange(n_theta) + 0.5) * (TWO_PI / n_theta), rtol=0, atol=1e-15)
+        self.check_against_horner(coeffs, grid)
+
+    @pytest.mark.parametrize("order, n_theta", [(64, 1024), (512, 64)])
+    def test_stacked_series_and_radii(self, mollified_map, order, n_theta):
+        # wirtinger_on_circle evaluates h' and g' as two stacked series on every radius at once
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        n = coeffs.order
+        k = np.arange(1, n + 1)
+        grid = da.UniformGrid(n_theta, 0.25)
+        dh, dg = da.wirtinger_on_circle(coeffs, self.RADII, grid)
+        assert dh.shape == dg.shape == (self.RADII.size, n_theta)
+        for i, rho in enumerate(self.RADII):
+            z = rho * np.exp(1j * grid.angles)
+            assert np.max(np.abs(dh[i] - polyval(z, k * coeffs.coeffs[n + 1 :]))) < 1e-13
+            assert np.max(np.abs(dg[i] - polyval(z, k * np.conj(coeffs.coeffs[:n][::-1])))) < 1e-13
+
+    def test_scalar_and_off_grid_angles(self, mollified_map):
+        coeffs = da.fourier_from_boundary(mollified_map, order=512)
+        value = da.eval_harmonic(coeffs, 0.8, 0.123)
+        assert isinstance(value, complex)
+        assert abs(value - horner(coeffs, 0.8, 0.123)) < 1e-13
+        thetas = np.random.default_rng(5).uniform(-10.0, 10.0, size=(3, 7))
+        values = da.eval_harmonic(coeffs, self.RADII, thetas)
+        assert values.shape == (self.RADII.size, 3, 7)
+        for row, r in zip(values, self.RADII):
+            assert np.max(np.abs(row - horner(coeffs, r, thetas))) < 1e-13
+
+    def test_explicit_angles_build_no_radii_by_angles_by_terms_array(self, mollified_map):
+        import tracemalloc
+
+        coeffs = da.fourier_from_boundary(mollified_map, order=512)
+        thetas = np.arange(64) * (TWO_PI / 64) + 0.001
+        tracemalloc.start()
+        try:
+            da.eval_harmonic(coeffs, np.linspace(0.0, 0.96, 64), thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 64 radii x 64 angles x 1025 terms of complex128 would be 67 MB
+        assert peak < 8e6
+
+    def test_constant_series(self):
+        coeffs = da.FourierCoeffs.from_dict({0: 0.5})
+        assert np.array_equal(da.eval_harmonic(coeffs, self.RADII, da.UniformGrid(8)), np.full((4, 8), 0.5 + 0j))
+        dh, dg = da.wirtinger_on_circle(coeffs, self.RADII, da.UniformGrid(8))
+        assert dh.shape == dg.shape == (4, 8) and not np.any(dh) and not np.any(dg)
+
+    def test_grid_builds_no_terms_by_angles_exponential(self, mollified_map, monkeypatch):
+        coeffs = da.fourier_from_boundary(mollified_map, order=512)
+        sizes = []
+        exp = np.exp
+
+        def recording_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        da.eval_harmonic(coeffs, self.RADII, da.UniformGrid(64))
+        assert sizes and max(sizes) <= coeffs.coeffs.size
 
 
 class TestWirtinger:

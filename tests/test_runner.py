@@ -153,6 +153,12 @@ class TestSuites:
         assert shear_rows and all(row["passed"] == "true" for row in shear_rows)
         assert runner.exit_code_for(rows) == 0
 
+    def test_convexity_suite_rejects_uncertified_series(self, monkeypatch):
+        # z + 0.6 z^2: f' vanishes inside the disk, so no certificate exists
+        monkeypatch.setitem(runner.HOLOMORPHIC_SERIES, "z+0.6z^2", [1.0, 0.6])
+        with pytest.raises(da.HypothesisViolationError, match="not certified univalent"):
+            runner.run_convexity_suite(runner.SweepConfig(radii=[0.5]))
+
     def test_convexity_suite_reads_shear_specs_from_families(self):
         config = runner.SweepConfig(families=["shear:0.1", "shear:0.4"], radii=[0.5])
         rows = runner.run_convexity_suite(config)

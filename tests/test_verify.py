@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
+from diskarea import runner
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,10 +149,32 @@ class TestConvexity:
         assert abs(rec.slack - want) < 1e-12
 
     def test_injectivity_gate(self):
-        assert da.winding_injectivity_check([1.0, 0.1])
-        assert da.winding_injectivity_check(da.family_coeffs("mobius", 0.4).coeffs[65:])
-        # z^2 on the disk is 2-to-1: the winding test must flag it
-        assert not da.winding_injectivity_check([0.0, 1.0])
+        assert da.univalence_margin([1.0, 0.1]) > 0
+        assert da.univalence_margin(da.family_coeffs("mobius", 0.4).coeffs[65:]) > 0
+        # z^2 on the disk is 2-to-1: the certificate must not pass it, nor any series with c_1 = 0
+        assert not da.univalence_margin([0.0, 1.0]) > 0
+        assert not da.univalence_margin([0.0, 0.0, 0.3]) > 0
+
+    def test_convexity_series_margins(self):
+        margins = [da.univalence_margin(s) for s in runner.HOLOMORPHIC_SERIES.values()]
+        assert np.allclose(margins, [1.000, 1.000, 0.798, 0.390], rtol=0, atol=1e-3)
+
+    def test_non_univalent_series_has_negative_margin(self):
+        # f' = 1 + 1.2 z vanishes at z = -1/1.2 inside the disk
+        assert da.univalence_margin([1.0, 0.6]) < -0.2
+
+    @pytest.mark.parametrize("series", [[1.0, 0.1], [1j, 0.2, -0.05j], [1.0, 0.6]])
+    def test_margin_bounds_the_dense_minimum(self, series):
+        # the certificate is a lower bound on min Re(e^{-i arg c_1} f') over the circle,
+        # short of the sampled minimum by exactly pi L / m
+        cs = np.asarray(series, dtype=complex)
+        n = np.arange(1, cs.size + 1)
+        z = np.exp(1j * np.arange(1 << 16) * (TWO_PI / (1 << 16)))
+        dense = np.min(np.real(np.exp(-1j * np.angle(cs[0])) * polyval(z, n * cs)))
+        margin = da.univalence_margin(series)
+        slack = math.pi * float(np.sum(n * (n - 1) * np.abs(cs))) / 256
+        assert margin <= dense
+        assert dense - margin <= slack + 1e-12
 
     @pytest.mark.parametrize("family, param", [("shear", 0.3), ("mobius", 0.4)])
     @pytest.mark.parametrize("r", [0.25, 0.9])
