@@ -218,10 +218,12 @@ def area_kernel_fft(bmap: BoundaryMap, r: float, n_samples: int | None = None) -
 def _jacobian_value(coeffs: FourierCoeffs, r: float, n_rho: int, n_theta: int) -> float:
     rho = (np.arange(n_rho) + 0.5) * (r / n_rho)
     dh, dg = wirtinger_on_circle(coeffs, rho, UniformGrid(n_theta, math.pi / n_theta))
-    det = np.abs(dh) ** 2 - np.abs(dg) ** 2
+    # sum over each ring of |h'|^2 and of |g'|^2 as the squared norm of the
+    # ring's real and imaginary parts: no modulus and no n_rho x n_theta temporary
+    h2, g2 = (np.einsum("ij,ij->i", v, v) for v in (dh.view(float), dg.view(float)))
     # add the rings one after another (accumulate is sequential), so the sum
     # does not depend on how a dot product would block it
-    total = np.add.accumulate(np.sum(det, axis=1) * rho)[-1]
+    total = np.add.accumulate((h2 - g2) * rho)[-1]
     return float(total) * (r / n_rho) * (TWO_PI / n_theta)
 
 
@@ -237,8 +239,13 @@ def area_jacobian_grid(
     Valid as an image area only for injective orientation-preserving maps, so
     boundary input must be of homeomorphism kind; explicit coefficients are
     accepted for closed-form families whose injectivity the caller guarantees.
+    The error indicator is the change from a grid of half as many rings (and
+    half as many angles, at least 8), so the grid needs n_rho >= 2 and
+    n_theta >= 1.
     """
     r = _check_radius(r, allow_zero=False)
+    if n_rho < 2 or n_theta < 1:
+        raise ValueError("Jacobian grid needs n_rho >= 2 and n_theta >= 1")
     if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
         raise HypothesisViolationError("Jacobian-grid area requires a homeomorphism boundary map")
     coeffs = _coeffs_for(source, order)

@@ -6,9 +6,11 @@ the sine of lift differences.  ``gap_pair_sums`` and ``sin_pair_sum_fft``
 reduce that part to the circular sine lag sums of :func:`_sine_lag_sums`,
 which cost O(M log M).  ``sin_pair_sum`` is the dense O(M^2) form of the area
 sum; it is the ``kernel-direct`` area estimator and the oracle the FFT path
-is checked against.  It expands sin(xi_j - xi_k) into sines and cosines of
-single samples and takes the two resulting circular convolutions by direct
-summation, so it shares nothing with the FFT path and needs O(M) memory.
+is checked against.  The pairs (j, k) and (k, j) have opposite sines, so only
+the odd part of the kernel row contributes; expanding sin(xi_j - xi_k) into
+sines and cosines of single samples, the sum is one circular convolution of
+that odd part with the cosines, taken by direct summation.  It shares nothing
+with the FFT path and needs O(M) memory.
 """
 
 import numpy as np
@@ -37,23 +39,25 @@ def _circular_convolve(kernel_row, v):
 def sin_pair_sum(kernel_row, xi):
     """sum over j,k of kernel_row[(j - k) mod M] * sin(xi[j] - xi[k]).
 
-    Dense O(M^2) direct sum.  With s = sin(xi) and c = cos(xi),
-    sin(xi[j] - xi[k]) = s[j] c[k] - c[j] s[k], so the sum is
-    s . (K * c) - c . (K * s) for the circular convolution K * v of
-    :func:`_circular_convolve`: M sines, M cosines and O(M) memory.
+    Dense O(M^2) direct sum.  Swapping j and k flips the sign of the sine, so
+    only the odd part of the kernel row counts: the sum is half the same sum
+    over odd[d] = K[d] - K[(-d) mod M], for any row K.  With s = sin(xi) and
+    c = cos(xi), sin(xi[j] - xi[k]) = s[j] c[k] - c[j] s[k], and as odd is
+    odd both products give the same sum, so the total is s . (odd * c) for
+    the circular convolution of :func:`_circular_convolve`: one convolution,
+    M sines, M cosines and O(M) memory.  odd[0] is exactly 0, so is every
+    lag of an even kernel, and so is every lag at M = 2.
     """
-    kernel_row = np.array(kernel_row, dtype=float, ndmin=1)  # a copy: lag 0 is zeroed below
+    kernel_row = np.ascontiguousarray(kernel_row, dtype=float)
     xi = np.ascontiguousarray(xi, dtype=float)
     m = xi.size
     if kernel_row.size != m:
         raise ValueError("kernel_row and xi must have equal length")
     if m == 0:
         return 0.0
-    # lag 0 pairs each sample with itself, where the sine is exactly 0
-    kernel_row[0] = 0.0
-    s = np.sin(xi)
-    c = np.cos(xi)
-    return float(np.dot(s, _circular_convolve(kernel_row, c)) - np.dot(c, _circular_convolve(kernel_row, s)))
+    # K[(-d) mod M] for d = 0, 1, ..., M - 1 is K[0], K[M - 1], ..., K[1]
+    odd = kernel_row - np.concatenate((kernel_row[:1], kernel_row[:0:-1]))
+    return float(np.dot(np.sin(xi), _circular_convolve(odd, np.cos(xi))))
 
 
 def sin_pair_sum_fft(kernel_row, xi):

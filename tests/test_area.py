@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,29 @@ class TestJacobianGrid:
         got = da.area_jacobian_grid(coeffs, r, n_rho, n_theta).value
         assert abs(got - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("n_rho, n_theta", [(1, 64), (16, 0), (16, -4)])
+    def test_degenerate_grid_rejected(self, n_rho, n_theta):
+        # the half grid would have no rings or no angles
+        with pytest.raises(ValueError, match="n_rho >= 2 and n_theta >= 1"):
+            da.area_jacobian_grid(da.family_coeffs("mobius", 0.3), 0.5, n_rho, n_theta)
+
+    def test_smallest_grid(self):
+        est = da.area_jacobian_grid(da.family_coeffs("mobius", 0.3), 0.5, 2, 1)
+        assert est.resolution == 2 and math.isfinite(est.value) and math.isfinite(est.error_indicator)
+
+    def test_default_grid_peak_memory(self):
+        # h' and g' on 1024 x 512 points are 16 MiB of series output; the ring
+        # sums must add no float array of that shape (4 MiB each)
+        coeffs = da.family_coeffs("mobius", 0.3)
+        da.area_jacobian_grid(coeffs, 0.9, 8, 8)
+        tracemalloc.start()
+        try:
+            da.area_jacobian_grid(coeffs, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * 2**20
+
     def test_random_matches_green(self, mollified_map):
         jac = da.area_jacobian_grid(mollified_map, 0.5, 512, 256)
         green = da.area_green_quadrature(mollified_map, 0.5, 1024)
@@ -218,6 +242,12 @@ class TestKernelMethods:
             d = da.area_kernel_direct(mollified_map, 0.6, m).value
             f = da.area_kernel_fft(mollified_map, 0.6, m).value
             assert abs(d - f) <= 1e-10 * abs(f)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.97])
+    def test_fft_equals_direct_at_4096(self, mollified_map, r):
+        d = da.area_kernel_direct(mollified_map, r, 4096).value
+        f = da.area_kernel_fft(mollified_map, r, 4096).value
+        assert abs(d - f) <= 1e-10 * abs(f)
 
     def test_direct_matches_green_quadrature(self):
         bmap = da.mollify_map(da.make_random_homeomorphism(7))

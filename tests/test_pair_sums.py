@@ -103,6 +103,30 @@ class TestDenseSinPairSum:
         want = (kern[1] - kern[2]) * cyc
         assert abs(pair_sums.sin_pair_sum(kern, xi) - want) <= 1e-14 * max(1.0, abs(want))
 
+    def test_two_samples_exactly_zero(self):
+        # at M = 2 every lag is its own negative, so the odd part of any kernel is 0
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            assert pair_sums.sin_pair_sum(rng.standard_normal(2), rng.uniform(-20.0, 20.0, 2)) == 0.0
+
+    @pytest.mark.parametrize("m", [5, 64, 513, 1024])
+    def test_even_kernel_exactly_zero(self, m):
+        rng = np.random.default_rng(m)
+        half = rng.standard_normal(m)
+        kern = half + np.concatenate((half[:1], half[:0:-1]))  # K[d] == K[(-d) mod M] exactly
+        xi = np.sort(rng.uniform(0, 3 * TWO_PI, m))
+        assert pair_sums.sin_pair_sum(kern, xi) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 1000])
+    def test_non_odd_kernel_matches_reference(self, m):
+        # a kernel with an even part, which must cancel in the pairs
+        rng = np.random.default_rng(1000 + m)
+        kern = rng.standard_normal(m) + 0.5
+        xi = np.sort(rng.uniform(0, 2 * TWO_PI, m))
+        got = pair_sums.sin_pair_sum(kern, xi)
+        want = _sin_pair_sum_reference(kern, xi)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_never_uses_the_fft(self, monkeypatch):
         kern, _, xi, _ = _inputs(5, 257)
         want = _sin_pair_sum_reference(kern, xi)
