@@ -19,7 +19,6 @@ from .area import (
     area_green_spectral,
     area_jacobian_grid,
     area_kernel,
-    area_kernel_defining_integral,
     area_kernel_direct,
     area_kernel_fft,
     estimate_area,
@@ -49,13 +48,11 @@ from .poisson import (
     FourierCoeffs,
     UniformGrid,
     eval_harmonic,
-    eval_harmonic_direct,
     eval_harmonic_step,
     fourier_from_boundary,
     poisson_kernel,
     poisson_kernel_deriv,
     sample_count,
-    semigroup_residual,
     wirtinger_on_circle,
 )
 from .proof_checks import (
@@ -66,8 +63,6 @@ from .proof_checks import (
     check_reduction_chain,
     check_tangent_gap_signs,
     cos_identity_residual,
-    increment_mean_residual,
-    increment_profile,
     mirror_pair_residual,
     profile_gap_integral,
     random_profile,
@@ -80,9 +75,7 @@ from .verify import (
     VerdictRecord,
     boundary_jacobian_integral,
     check_area_contraction,
-    equality_slack,
     holomorphic_convexity_check,
-    lift_identity_deviation,
     schwarz_bound,
     schwarz_bound_check,
     univalence_margin,

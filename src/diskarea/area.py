@@ -102,8 +102,8 @@ def area_kernel(r: float, alpha):
     """Antisymmetric pair kernel 2 r^2 (1 - r^4) sin(a) / (1 - 2 r^2 cos(a) + r^4)^2.
 
     Equals minus the derivative of the Poisson kernel at radius r^2, by the
-    kernel composition law; :func:`area_kernel_defining_integral` checks that
-    numerically.  Odd in alpha.
+    kernel composition law; the test oracle ``area_kernel_defining_integral``
+    in ``tests/oracles.py`` checks that numerically.  Odd in alpha.
     """
     r = _check_radius(r)
     alpha = np.asarray(alpha, dtype=float)
@@ -111,17 +111,6 @@ def area_kernel(r: float, alpha):
     den = 1.0 - 2.0 * rho2 * np.cos(alpha) + rho2 * rho2
     out = 2.0 * rho2 * (1.0 - rho2 * rho2) * np.sin(alpha) / (den * den)
     return out if alpha.ndim else float(out)
-
-
-def area_kernel_defining_integral(r: float, alpha: float, n_samples: int = 2048) -> float:
-    """Quadrature of (1/2pi) int P_r(theta) P_r'(theta - alpha) dtheta.
-
-    The defining convolution of the pair kernel, evaluated without the closed
-    form; used as the oracle pinning the closed form's radius convention.
-    """
-    r = _check_radius(r)
-    t = np.arange(n_samples) * (TWO_PI / n_samples)
-    return float(np.mean(poisson_kernel(r, t) * poisson_kernel_deriv(r, t - alpha)))
 
 
 def _coeffs_for(source: BoundaryMap | FourierCoeffs, order: int) -> FourierCoeffs:
@@ -267,7 +256,7 @@ def family_coeffs(family: str, param=None, order: int = 64) -> FourierCoeffs:
         return FourierCoeffs.from_dict({1: 1.0, -2: c}, source_hash="shear")
     if family == FAMILY_MOBIUS:
         a = complex(param)
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise ValueError("Mobius parameter must satisfy |a| < 1")
         entries = {0: -a}
         for n in range(1, order + 1):
@@ -294,7 +283,7 @@ def exact_family_area(family: str, r: float, param=None) -> AreaEstimate:
         value = math.pi * (r * r - 2.0 * c * c * r ** 4)
     elif family == FAMILY_MOBIUS:
         a = abs(complex(param))
-        if a >= 1.0:
+        if not a < 1.0:
             raise ValueError("Mobius parameter must satisfy |a| < 1")
         radius = r * (1.0 - a * a) / (1.0 - a * a * r * r)
         value = math.pi * radius * radius

@@ -55,20 +55,21 @@ class BoundaryMap:
             raise ValueError("need at least the two period-closing knots")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if abs(t[0]) > _MONO_TOL or abs(t[-1] - TWO_PI) > _MONO_TOL:
+        # each check is written to fail on NaN, so non-finite data is rejected
+        if not (abs(t[0]) <= _MONO_TOL and abs(t[-1] - TWO_PI) <= _MONO_TOL):
             raise ValueError("knots must cover exactly one period [0, 2*pi]")
         dt = np.diff(t)
-        if np.any(dt <= 0.0):
+        if not np.all(dt > 0.0):
             raise ValueError("knot angles must be strictly increasing")
         dlift = np.diff(lift)
-        if np.any(dlift < -_MONO_TOL):
+        if not np.all(dlift >= -_MONO_TOL):
             raise ValueError("lift values must be nondecreasing")
-        if self.kind == HOMEOMORPHISM and np.any(dlift <= 0.0):
+        if self.kind == HOMEOMORPHISM and not np.all(dlift > 0.0):
             raise ValueError("homeomorphism lift must be strictly increasing")
-        if abs((lift[-1] - lift[0]) - TWO_PI) > _MONO_TOL:
+        if not abs((lift[-1] - lift[0]) - TWO_PI) <= _MONO_TOL:
             raise ValueError("lift must rise by exactly 2*pi over one period")
         w = complex(self.omega)
-        if abs(abs(w) - 1.0) > _UNIT_TOL:
+        if not abs(abs(w) - 1.0) <= _UNIT_TOL:
             raise ValueError("omega must have unit modulus")
         # normalize: pin the period endpoints and the starting branch
         t[0] = 0.0
@@ -136,7 +137,7 @@ def make_mobius_boundary(a: complex, n_knots: int = 4096) -> BoundaryMap:
     interpolation of the true automorphism.
     """
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:
         raise ValueError("Mobius parameter must satisfy |a| < 1")
     if n_knots < 4:
         raise ValueError("n_knots must be at least 4")
@@ -195,11 +196,11 @@ def make_step_map(jump_points, values) -> BoundaryMap:
     v = np.asarray(values, dtype=float)
     if s.ndim != 1 or v.ndim != 1 or s.size != v.size or s.size < 1:
         raise ValueError("jump_points and values must be equal-length nonempty 1-d sequences")
-    if np.any(np.diff(s) <= 0.0) or s[0] < 0.0 or s[-1] >= TWO_PI:
+    if not (np.all(np.diff(s) > 0.0) and 0.0 <= s[0] and s[-1] < TWO_PI):
         raise ValueError("jump points must be strictly increasing within [0, 2*pi)")
-    if np.any(np.diff(v) < 0.0):
+    if not np.all(np.diff(v) >= 0.0):
         raise ValueError("step values must be nondecreasing")
-    if v[-1] - v[0] > TWO_PI + _MONO_TOL:
+    if not v[-1] - v[0] <= TWO_PI + _MONO_TOL:
         raise ValueError("step values must rise by at most 2*pi over one period")
     if s[0] > 0.0:
         t = np.concatenate([[0.0], s, [TWO_PI]])
@@ -218,8 +219,8 @@ def mollify_map(bmap: BoundaryMap, width: float = TWO_PI / 64, n_knots: int = 81
     on ``n_knots`` piecewise-linear knots.  Restores spectral quadrature
     accuracy for piecewise-linear inputs.
     """
-    if width <= 0.0:
-        raise ValueError("width must be positive")
+    if not 0.0 < width < math.inf:
+        raise ValueError("width must be positive and finite")
     if bmap.kind != HOMEOMORPHISM:
         raise ValueError("only homeomorphisms are mollified")
     t = np.linspace(0.0, TWO_PI, n_knots, endpoint=False)

@@ -2,10 +2,11 @@
 
 Exit codes: 0 all checks passed, 1 any check failed, 2 any check
 inconclusive, 64 usage error, 65 hypothesis violation (the input map is
-outside what the requested method or check is stated for).  Reports are
-CSV (default) or JSON lines; repeated runs of the same config are
-byte-identical apart from the wall-time column.  The output directory for
-relative paths can be pinned with the DISKAREA_OUTDIR environment variable.
+outside what the requested method or check is stated for), 73 the report
+file cannot be created.  Reports are CSV (default) or JSON lines; repeated
+runs of the same config are byte-identical apart from the wall-time column.
+The output directory for relative paths can be pinned with the
+DISKAREA_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -36,9 +37,14 @@ from .verify import TOLERANCES, HypothesisViolationError
 
 USAGE_EXIT = 64
 DATAERR_EXIT = 65
+CANTCREAT_EXIT = 73
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _CantCreateError(Exception):
     pass
 
 
@@ -99,9 +105,12 @@ def _emit(text: str, out: str | None):
         return
     if not os.path.isabs(out):
         out = os.path.join(os.environ.get("DISKAREA_OUTDIR", "."), out)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CantCreateError(f"{out}: {exc}") from exc
     print(f"wrote {out}")
 
 
@@ -224,6 +233,9 @@ def main(argv=None) -> int:
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return DATAERR_EXIT
+    except _CantCreateError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return CANTCREAT_EXIT
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

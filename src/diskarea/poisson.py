@@ -3,8 +3,9 @@
 The harmonic extension of a boundary correspondence is evaluated through a
 truncated two-sided Fourier series of the boundary function; direct periodic
 quadrature of the kernel integral serves as the independent slow path in
-tests.  Uniform trapezoid sums are used throughout: every integrand here is
-2*pi-periodic and analytic for r < 1, so they converge spectrally.
+the tests (``tests/oracles.py``).  Uniform trapezoid sums are used
+throughout: every integrand here is 2*pi-periodic and analytic for r < 1,
+so they converge spectrally.
 """
 
 from __future__ import annotations
@@ -62,19 +63,6 @@ def sample_count(r: float) -> int:
     while m < need:
         m *= 2
     return m
-
-
-def semigroup_residual(r: float, sigma: float, t: float, n_samples: int = 2048) -> float:
-    """|quadrature of (1/2pi) int P_r(s) P_sigma(t - s) ds  -  P_{r*sigma}(t)|.
-
-    The composition law makes this a quadrature-accuracy oracle: the exact
-    value is zero for every admissible (r, sigma, t).
-    """
-    r = _check_radius(r)
-    sigma = _check_radius(sigma)
-    s = np.arange(n_samples) * (TWO_PI / n_samples)
-    quad = float(np.mean(poisson_kernel(r, s) * poisson_kernel(sigma, t - s)))
-    return abs(quad - poisson_kernel(r * sigma, float(t)))
 
 
 @dataclass(frozen=True)
@@ -247,18 +235,6 @@ def eval_harmonic(coeffs: FourierCoeffs, r, theta):
     the shape of ``theta`` (``(n_theta,)`` for a grid).
     """
     return _series(coeffs.coeffs, -coeffs.order, _check_radius(r), theta)
-
-
-def eval_harmonic_direct(bmap: BoundaryMap, r: float, theta: float, n_samples: int = 2048) -> complex:
-    """Slow-path harmonic extension by trapezoid quadrature of the kernel integral.
-
-    Independent of the Fourier representation; used as the oracle for
-    :func:`eval_harmonic`.
-    """
-    r = _check_radius(r)
-    t = np.arange(n_samples) * (TWO_PI / n_samples)
-    vals = boundary_values(bmap, t) * poisson_kernel(r, float(theta) - t)
-    return complex(np.mean(vals))
 
 
 def wirtinger_on_circle(coeffs: FourierCoeffs, rho, thetas) -> tuple[np.ndarray, np.ndarray]:

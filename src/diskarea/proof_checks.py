@@ -71,12 +71,6 @@ class MonotoneProfile:
         """The sample angles; one shared read-only array per grid size."""
         return _grid(self.values.size)
 
-    def __call__(self, alpha):
-        return np.interp(alpha, self.alphas, self.values)
-
-    def at_midpoint(self) -> float:
-        return float(self.values[self.n_cells // 2])
-
 
 def reflect_profile(g: MonotoneProfile) -> MonotoneProfile:
     """alpha -> 2*pi - g(2*pi - alpha); an involution that fixes the key integral."""
@@ -97,22 +91,6 @@ def _canonical_rows(v: np.ndarray) -> np.ndarray:
     v = v.copy()
     v[flip] = _reflected_rows(v[flip])
     return v
-
-
-def increment_profile(bmap: BoundaryMap, t: float, n_cells: int = 512) -> MonotoneProfile:
-    """Profile alpha -> lift(alpha + t) - lift(t) of a boundary correspondence.
-
-    Degree one makes the range exactly [0, 2*pi]; the wrap sample is pinned to
-    2*pi, which is its exact value by lift arithmetic.
-    """
-    if n_cells % 2:
-        raise ValueError("n_cells must be even")
-    alphas = _grid(n_cells + 1)
-    base = eval_lift(bmap, float(t))
-    vals = eval_lift(bmap, float(t) + alphas) - base
-    vals[0] = 0.0
-    vals[-1] = TWO_PI
-    return MonotoneProfile(vals)
 
 
 def random_profile(seed: int, n_cells: int = 512, roughness: float = 1.0) -> MonotoneProfile:
@@ -236,13 +214,6 @@ def cos_identity_residual(bmap: BoundaryMap, r: float, n_samples: int = 512) -> 
     kern = area_kernel(r, alphas)
     cos_sum, _ = pair_sums.gap_pair_sums(kern, alphas, lift2)
     return abs(cos_sum) / (m * m)
-
-
-def increment_mean_residual(bmap: BoundaryMap, alpha: float, n_samples: int = 1024) -> float:
-    """|mean over the grid of {zeta(alpha + t) - zeta(t)}| with zeta(t) = lift(t) - t."""
-    t = np.arange(n_samples) * (TWO_PI / n_samples)
-    zeta = lambda x: eval_lift(bmap, x) - x
-    return abs(float(np.mean(zeta(alpha + t) - zeta(t))))
 
 
 def check_gap_double_integral(

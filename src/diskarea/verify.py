@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .area import GREEN_SPECTRAL, HypothesisViolationError, estimate_area, spectral_area_sum
-from .circle_maps import HOMEOMORPHISM, NONDECREASING_STEP, TWO_PI, BoundaryMap, eval_lift
+from .circle_maps import HOMEOMORPHISM, NONDECREASING_STEP, TWO_PI, BoundaryMap
 from .poisson import (
     FourierCoeffs,
     UniformGrid,
@@ -113,20 +113,6 @@ def check_area_contraction(
         tol = TOLERANCES["area-contraction"] * disk
     return make_verdict("area-contraction", map_id, r, est.value, disk, tol, est.resolution,
                         method=est.method, error_indicator=est.error_indicator)
-
-
-def equality_slack(bmap: BoundaryMap, r: float, order: int = 512) -> float:
-    """pi r^2 minus the best-available image-area estimate; ~0 exactly for rotations."""
-    est = estimate_area(bmap, r, GREEN_SPECTRAL, order=order)
-    return math.pi * r * r - est.value
-
-
-def lift_identity_deviation(bmap: BoundaryMap, n_samples: int = 4096) -> float:
-    """sup over the grid of |lift(t) - t - const|: the testable isometry proxy."""
-    t = np.arange(n_samples) * (TWO_PI / n_samples)
-    dev = eval_lift(bmap, t) - t
-    dev -= float(np.mean(dev))
-    return float(np.max(np.abs(dev)))
 
 
 def schwarz_bound(radii):

@@ -7,6 +7,8 @@ import pytest
 import diskarea as da
 from diskarea import area, pair_sums, runner
 
+import oracles
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -39,7 +41,7 @@ class TestAreaKernel:
         for _ in range(8):
             r = float(rng.uniform(0.1, 0.9))
             alpha = float(rng.uniform(0.0, TWO_PI))
-            quad = da.area_kernel_defining_integral(r, alpha, 2048)
+            quad = oracles.area_kernel_defining_integral(r, alpha, 2048)
             assert abs(quad - da.area_kernel(r, alpha)) < 1e-9
 
     def test_equals_minus_poisson_derivative_at_r_squared(self):
@@ -85,6 +87,12 @@ class TestExactFamilies:
             da.exact_family_area("mobius", 0.5, 1.2)
         with pytest.raises(ValueError):
             da.exact_family_area("identity", 1.0)
+        for family in ("shear", "mobius"):
+            for param in (math.nan, complex(0.1, math.nan), math.inf):
+                with pytest.raises(ValueError):
+                    da.exact_family_area(family, 0.5, param)
+                with pytest.raises(ValueError):
+                    da.family_coeffs(family, param)
 
 
 class TestGreenSpectral:

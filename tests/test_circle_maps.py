@@ -72,6 +72,30 @@ class TestConstructors:
                 omega=1.1,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_knots_and_prefactor(self, bad):
+        t = np.array([0.0, 1.0, 2.0, TWO_PI])
+        lift = np.array([0.0, 1.0, 2.0, TWO_PI])
+        for kind in da.circle_maps.KINDS:
+            for i in range(4):
+                with pytest.raises(ValueError):
+                    da.BoundaryMap(np.where(np.arange(4) == i, bad, t), lift, kind=kind)
+                with pytest.raises(ValueError):
+                    da.BoundaryMap(t, np.where(np.arange(4) == i, bad, lift), kind=kind)
+            for omega in (complex(bad, 0.0), complex(0.0, bad), complex(bad, bad)):
+                with pytest.raises(ValueError):
+                    da.BoundaryMap(t, lift, omega=omega, kind=kind)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_generators_reject_non_finite_parameters(self, bad):
+        for make in (lambda: da.make_rotation(bad), lambda: da.make_mobius_boundary(bad),
+                     lambda: da.make_mobius_boundary(complex(0.1, bad)),
+                     lambda: da.make_step_map([1.0, bad], [1.0, 2.0]),
+                     lambda: da.make_step_map([1.0, 2.0], [1.0, bad]),
+                     lambda: da.mollify_map(da.make_identity(), width=bad)):
+            with pytest.raises(ValueError):
+                make()
+
     def test_rejection_happens_at_construction_not_eval(self):
         # eval never validates; bad data cannot reach it through the API
         m = da.make_identity()
@@ -240,6 +264,21 @@ class TestSerialization:
         nudged = t.copy()
         nudged[5] = np.nextafter(nudged[5], np.inf)
         assert variant(t=nudged) != base
+
+    def test_non_finite_json_raises_value_error(self, random_map):
+        doc = json.loads(da.to_json(random_map))
+        variants = []
+        for key in ("omega_re", "omega_im"):
+            variants.append({**doc, key: math.nan})
+        for row in (0, 7, len(doc["knots"]) - 1):
+            for col in (0, 1):
+                knots = [list(pair) for pair in doc["knots"]]
+                knots[row][col] = math.nan
+                variants.append({**doc, "knots": knots})
+        for variant in variants:
+            text = json.dumps(variant)  # Python's json writes and reads NaN
+            with pytest.raises(ValueError):
+                da.from_json(text)
 
     def test_malformed_json_raises_value_error(self):
         flat = json.dumps({"kind": "homeomorphism", "omega_re": 1.0, "omega_im": 0.0,

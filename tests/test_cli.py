@@ -2,6 +2,8 @@ import csv
 import io
 import math
 
+import pytest
+
 import diskarea.cli as cli
 
 TWO_PI = 2.0 * math.pi
@@ -93,6 +95,15 @@ class TestAreaCommand:
             assert err.startswith("hypothesis violation: ") and "closed-form" in err
             assert out == ""
 
+    @pytest.mark.parametrize("family", ["rotation:nan", "rotation:inf", "step:1,nan@1,2", "mobius:nan"])
+    def test_non_finite_map_usage_error(self, capsys, family):
+        # NaN passes every comparison the map constructors make unless each
+        # is written to fail on it; no row may come from such a map
+        code, out, err = run_cli(capsys, "area", "--family", family, "--r", "0.5",
+                                 "--method", "green-spectral,jacobian,exact", "--format", "jsonl")
+        assert code == 64
+        assert err.startswith("usage error: bad family spec") and out == ""
+
     def test_method_help_lists_the_registry(self, capsys):
         import pytest
 
@@ -113,6 +124,16 @@ class TestAreaCommand:
                              "--out", "report.csv")
         assert code == 0
         assert (tmp_path / "report.csv").exists()
+
+    def test_unwritable_report_path_exit_73(self, capsys, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        for command in (("area", "--family", "identity", "--r", "0.5"), ("verify", "--suite", "boundary"),
+                        ("bench", "--sizes", "64", "--repeat", "1")):
+            code, out, err = run_cli(capsys, *command, "--out", str(blocker / "report.csv"))
+            assert code == 73, command
+            assert err.startswith("cannot write report: ") and "Traceback" not in err
+            assert err.count("\n") == 1 and out == ""
 
 
 class TestVerifyCommand:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import diskarea as da
-from diskarea import runner
+from diskarea import area, runner
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,6 +135,35 @@ class TestSuites:
         config = runner.SweepConfig(radii=[0.5], seeds=[0, 1])
         rows = runner.run_equality_suite(config)
         assert all(row["passed"] == "true" for row in rows)
+
+    def test_equality_suite_extracts_each_map_once(self, monkeypatch):
+        # 4 rotations and 20 random maps, each extracted once for all 4 radii
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (runner, area):
+            monkeypatch.setattr(module, "fourier_from_boundary",
+                                counting("extract", module.fourier_from_boundary))
+        monkeypatch.setattr(runner, "make_rotation", counting("rotation", runner.make_rotation))
+        config = runner.SweepConfig(radii=[0.25, 0.5, 0.75, 0.9], seeds=list(range(20)))
+        rows = runner.run_equality_suite(config)
+        assert len(rows) == 96
+        assert calls == {"extract": 24, "rotation": 4}
+
+    def test_equality_rotation_lhs_is_the_contraction_slack(self):
+        config = runner.SweepConfig(radii=[0.25, 0.9], seeds=[0])
+        rows = [row for row in runner.run_equality_suite(config) if row["check_name"] == "equality-rotation"]
+        assert len(rows) == 8
+        phis = {f"phi={phi:g}": phi for phi in (0.0, 1.0, math.pi / 2, math.pi)}  # the suite's rotations
+        for row in rows:
+            phi = phis[row["params"]]
+            rec = da.check_area_contraction(da.make_rotation(phi), row["r"], order=config.order)
+            assert row["lhs"] == abs(rec.slack)
 
     def test_schwarz_suite(self):
         config = runner.SweepConfig(radii=[0.5], seeds=[0, 1])
