@@ -15,9 +15,8 @@ the identity at radius r gives pi * r^2.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,9 +87,6 @@ class AreaEstimate:
     method: str
     resolution: int
     error_indicator: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def kernel_sample_count(r: float) -> int:

@@ -10,7 +10,6 @@ so they converge spectrally.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -93,26 +92,6 @@ class FourierCoeffs:
     @property
     def indices(self) -> np.ndarray:
         return np.arange(-self.order, self.order + 1)
-
-    def truncated(self, order: int) -> "FourierCoeffs":
-        if order >= self.order:
-            return self
-        lo = self.order - order
-        return FourierCoeffs(self.coeffs[lo : lo + 2 * order + 1], order, self.source_hash)
-
-    def to_json(self) -> str:
-        triples = [[int(n), c.real, c.imag] for n, c in zip(self.indices, self.coeffs)]
-        return json.dumps(triples)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierCoeffs":
-        triples = json.loads(text)
-        ns = [int(row[0]) for row in triples]
-        order = max(abs(n) for n in ns)
-        c = np.zeros(2 * order + 1, dtype=complex)
-        for n, re, im in triples:
-            c[int(n) + order] = complex(re, im)
-        return cls(c, order)
 
     @classmethod
     def from_dict(cls, entries: dict, source_hash: str = "") -> "FourierCoeffs":

@@ -134,35 +134,39 @@ def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9), map_id: st
       (c) d(gap)/d(beta) = cos(a) - cos(b) >= -1e-14 for 0<=a<=pi, a<=b<=2pi-a;
       (d) kernel(a) * gap >= -1e-12 outside the two open triangles, per radius,
           while at least one strictly negative sample exists inside them.
+
+    The grid is built from its column of angles a[:, None] and its row
+    a[None, :], so every sine, cosine and kernel value is taken once per grid
+    angle and only arithmetic and masks run on the full square.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
     a = np.linspace(0.0, TWO_PI, grid_n + 1)
-    A, B = np.meshgrid(a, a, indexing="ij")
+    A, B = a[:, None], a[None, :]
     H = tangent_gap(A, B)
-    half = a <= math.pi + 1e-15
-    sq = np.ix_(half, half)
-    worst = float(np.min(H[sq]))  # (a)
+    k = int(np.count_nonzero(a <= math.pi + 1e-15))  # the angles in [0, pi] lead the grid
+    Hh = H[:k, :k]
+    worst = float(np.min(Hh))  # (a)
     ok = worst >= -1e-14
 
-    band = np.abs(A - B) > TWO_PI / grid_n + 1e-12
-    off_diag = H[sq][band[sq]]
-    min_off = float(np.min(off_diag))  # (b)
+    band = np.abs(A[:k] - B[:, :k]) > TWO_PI / grid_n + 1e-12
+    min_off = float(np.min(Hh, where=band, initial=math.inf))  # (b)
     ok = ok and min_off > 1e-14
 
     region_c = (A <= math.pi) & (B >= A) & (B <= TWO_PI - A)
     slope = np.cos(A) - np.cos(B)
-    min_slope = float(np.min(slope[region_c]))  # (c)
+    min_slope = float(np.min(slope, where=region_c, initial=math.inf))  # (c)
     ok = ok and min_slope >= -1e-14
 
     t1, t2 = _triangle_masks(A, B)
-    outside = ~(t1 | t2)
+    inside = t1 | t2
+    outside = ~inside
     worst_outside = math.inf
     best_inside = math.inf
     for r in radii:
         KH = area_kernel(r, A) * H
-        worst_outside = min(worst_outside, float(np.min(KH[outside])))
-        best_inside = min(best_inside, float(np.min(KH[t1 | t2])))
+        worst_outside = min(worst_outside, float(np.min(KH, where=outside, initial=math.inf)))
+        best_inside = min(best_inside, float(np.min(KH, where=inside, initial=math.inf)))
     ok = ok and worst_outside >= -1e-12 and best_inside < 0.0  # (d)
 
     lhs = min(worst, min_off, min_slope, worst_outside)
@@ -174,11 +178,12 @@ def mirror_pair_residual(r: float, grid_n: int = 256):
     """Pointwise residual and right-side minimum of the mirrored-pair identity.
 
     K(a) gap(a, b) + K(2pi - a) gap(2pi - a, b) collapses to
-    2 K(a) gap(a, pi) for every b; returns (max |lhs - rhs|, min rhs).
+    2 K(a) gap(a, pi) for every b; returns (max |lhs - rhs|, min rhs).  The
+    grid is the column a[:, None] against the row a[None, :].
     """
     r = _check_radius(r, allow_zero=False)
     a = np.linspace(0.0, TWO_PI, grid_n + 1)
-    A, B = np.meshgrid(a, a, indexing="ij")
+    A, B = a[:, None], a[None, :]
     kern = area_kernel(r, A)
     lhs = kern * tangent_gap(A, B) + area_kernel(r, TWO_PI - A) * tangent_gap(TWO_PI - A, B)
     rhs = 2.0 * kern * tangent_gap(A, math.pi)
@@ -276,20 +281,18 @@ def _trapezoid_terms(y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return np.diff(alphas) * (y[..., 1:] + y[..., :-1]) / 2.0
 
 
-def _window_integrals(alphas, cutoffs, weighted, frozen, at_pi) -> list[tuple[float, float, float]]:
+def _window_integrals(cutoffs, weighted, frozen, at_pi) -> list[tuple[float, float, float]]:
     """(q2, q3, q4) of the reduction chain, per row.
 
-    For canonical rows with cutoff indices ``cutoffs`` at one radius:
-    ``weighted`` is K(a) gap(a, G(a)), ``frozen`` is
-    K(a) gap(a, G(pi)) per row and ``at_pi`` is K(a) gap(a, pi).  Each window
-    integral sums its own slice of the row's trapezoid terms, never a masked
-    or cumulative sum, so it equals the trapezoid integral of that window.
+    For canonical rows with cutoff indices ``cutoffs`` at one radius, the
+    arguments are :func:`_trapezoid_terms` of: ``weighted``, K(a) gap(a, G(a));
+    ``frozen``, K(a) gap(a, G(pi)) per row; and ``at_pi``, K(a) gap(a, pi), one
+    row for all.  Each window integral sums its own slice of the row's terms,
+    never a masked or cumulative sum, so it equals the trapezoid integral of
+    that window.
     """
-    n = alphas.size - 1
+    n = at_pi.shape[-1]
     half = n // 2
-    weighted = _trapezoid_terms(weighted, alphas)
-    frozen = _trapezoid_terms(frozen, alphas)
-    at_pi = _trapezoid_terms(at_pi, alphas)
     out = []
     for row, i1 in enumerate(cutoffs.tolist()):
         q2 = float(weighted[row, n - i1 : i1].sum())
@@ -315,11 +318,11 @@ def check_reduction_chain(g: MonotoneProfile, r: float, tol: float = 1e-10, map_
     alphas = g.alphas
     v = _canonical_rows(g.values[None])
     kern = area_kernel(r, alphas)
-    weighted = kern * tangent_gap(alphas, v)
-    q1 = float(np.trapezoid(weighted, alphas, axis=-1)[0])
-    frozen = kern * tangent_gap(alphas, v[:, g.n_cells // 2, None])
-    (windows,) = _window_integrals(alphas, _cutoff_indices(v, alphas), weighted, frozen,
-                                   kern * tangent_gap(alphas, math.pi))
+    weighted = _trapezoid_terms(kern * tangent_gap(alphas, v), alphas)
+    q1 = float(weighted.sum(axis=-1)[0])
+    frozen = _trapezoid_terms(kern * tangent_gap(alphas, v[:, g.n_cells // 2, None]), alphas)
+    (windows,) = _window_integrals(_cutoff_indices(v, alphas), weighted, frozen,
+                                   _trapezoid_terms(kern * tangent_gap(alphas, math.pi), alphas))
     worst = _chain_worst(q1, *windows)
     return make_verdict("reduction-chain", map_id, r, -worst, 0.0, tol, g.n_cells)
 
@@ -339,9 +342,10 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
 
     Each record has r = max(radii) and resolution 512.  The values equal those
     of the single-profile functions bit for bit.  Each profile is drawn once
-    and its tangent gap computed once; the kernel is built once per radius,
-    and the profiles are integrated in blocks of a fixed number of rows, which
-    bounds the working set.
+    and its tangent gap computed once; the kernel and the K(a) gap(a, pi)
+    terms are built once per radius, the trapezoid terms of each block once
+    per radius, and the profiles are integrated in blocks of a fixed number of
+    rows, which bounds the working set.
     """
     radii = tuple(_check_radius(r, allow_zero=False) for r in radii)
     if not radii or n_profiles < 1 or n_chains < 1:
@@ -350,6 +354,7 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
     alphas = _grid(n + 1)
     kerns = [area_kernel(r, alphas) for r in radii]
     pi_gap = tangent_gap(alphas, math.pi)
+    pi_terms = [_trapezoid_terms(kern * pi_gap, alphas) for kern in kerns]
     n_seeds = max(n_profiles, n_chains)
     integrals, worsts, reflection = [], [], []  # seed-major, radius-minor
     for start in range(0, n_seeds, _PROFILE_BLOCK):
@@ -365,10 +370,10 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
         drift = np.empty((c, len(radii)))
         worst = np.empty((c, len(radii)))
         for j, kern in enumerate(kerns):
-            weighted = kern * gap
-            q1[:, j] = np.trapezoid(weighted, alphas, axis=-1)
+            weighted = _trapezoid_terms(kern * gap, alphas)
+            q1[:, j] = weighted.sum(axis=-1)
             drift[:, j] = np.abs(q1[:c, j] - np.trapezoid(kern * mirrored, alphas, axis=-1))
-            windows = _window_integrals(alphas, cutoffs, weighted, kern * frozen, kern * pi_gap)
+            windows = _window_integrals(cutoffs, weighted, _trapezoid_terms(kern * frozen, alphas), pi_terms[j])
             worst[:, j] = [_chain_worst(q, *w) for q, w in zip(q1[:c, j].tolist(), windows)]
         integrals += q1.ravel().tolist()
         reflection += drift.ravel().tolist()

@@ -12,9 +12,8 @@ may override.  ``estimate_area`` is re-exported from :mod:`diskarea.area`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +55,6 @@ class VerdictRecord:
     inconclusive: bool = False
     method: str = ""
     error_indicator: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def make_verdict(

@@ -2,17 +2,29 @@
 
 Each one checks a statement the library relies on by a slow, direct route:
 trapezoid quadrature of the kernel integrals, checked against their closed
-forms, and plain lift arithmetic for the increment identities.  None of them
-feeds a report row, so they live here and not in ``diskarea``.
+forms, plain lift arithmetic for the increment identities, and full meshgrids
+for the proof suite's grid checks.  None of them feeds a report row, so they
+live here and not in ``diskarea``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 
+from diskarea.area import area_kernel
 from diskarea.circle_maps import TWO_PI, BoundaryMap, boundary_values, eval_lift
 from diskarea.poisson import _check_radius, poisson_kernel, poisson_kernel_deriv
-from diskarea.proof_checks import MonotoneProfile, _grid
+from diskarea.proof_checks import MonotoneProfile, _grid, _triangle_masks, tangent_gap
+from diskarea.verify import VerdictRecord, make_verdict
+
+
+def record_json(rec) -> str:
+    """A record (verdict or area estimate) as one JSON object, fields in order."""
+    return json.dumps(dataclasses.asdict(rec))
 
 
 def eval_harmonic_direct(bmap: BoundaryMap, r: float, theta: float, n_samples: int = 2048) -> complex:
@@ -80,3 +92,65 @@ def lift_identity_deviation(bmap: BoundaryMap, n_samples: int = 4096) -> float:
     dev = eval_lift(bmap, t) - t
     dev -= float(np.mean(dev))
     return float(np.max(np.abs(dev)))
+
+
+def check_tangent_gap_signs_meshgrid(grid_n: int = 256, radii=(0.3, 0.6, 0.9), map_id: str = "") -> VerdictRecord:
+    """Sign structure of the tangent gap and its kernel weighting on the square,
+    from full meshgrids; the oracle for :func:`diskarea.check_tangent_gap_signs`.
+
+    Checks, on a (grid_n+1)^2 grid over [0, 2*pi]^2:
+      (a) gap >= -1e-14 on [0, pi]^2;
+      (b) gap > 1e-14 off a one-cell diagonal band within [0, pi]^2;
+      (c) d(gap)/d(beta) = cos(a) - cos(b) >= -1e-14 for 0<=a<=pi, a<=b<=2pi-a;
+      (d) kernel(a) * gap >= -1e-12 outside the two open triangles, per radius,
+          while at least one strictly negative sample exists inside them.
+    """
+    if grid_n < 64:
+        raise ValueError("grid_n must be at least 64")
+    a = np.linspace(0.0, TWO_PI, grid_n + 1)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    H = tangent_gap(A, B)
+    half = a <= math.pi + 1e-15
+    sq = np.ix_(half, half)
+    worst = float(np.min(H[sq]))  # (a)
+    ok = worst >= -1e-14
+
+    band = np.abs(A - B) > TWO_PI / grid_n + 1e-12
+    off_diag = H[sq][band[sq]]
+    min_off = float(np.min(off_diag))  # (b)
+    ok = ok and min_off > 1e-14
+
+    region_c = (A <= math.pi) & (B >= A) & (B <= TWO_PI - A)
+    slope = np.cos(A) - np.cos(B)
+    min_slope = float(np.min(slope[region_c]))  # (c)
+    ok = ok and min_slope >= -1e-14
+
+    t1, t2 = _triangle_masks(A, B)
+    outside = ~(t1 | t2)
+    worst_outside = math.inf
+    best_inside = math.inf
+    for r in radii:
+        KH = area_kernel(r, A) * H
+        worst_outside = min(worst_outside, float(np.min(KH[outside])))
+        best_inside = min(best_inside, float(np.min(KH[t1 | t2])))
+    ok = ok and worst_outside >= -1e-12 and best_inside < 0.0  # (d)
+
+    lhs = min(worst, min_off, min_slope, worst_outside)
+    return make_verdict("tangent-gap-signs", map_id, radii[-1], lhs, 0.0, 1e-12, grid_n,
+                        direction="ge", holds=ok)
+
+
+def mirror_pair_residual_meshgrid(r: float, grid_n: int = 256):
+    """Pointwise residual and right-side minimum of the mirrored-pair identity.
+
+    K(a) gap(a, b) + K(2pi - a) gap(2pi - a, b) collapses to
+    2 K(a) gap(a, pi) for every b; returns (max |lhs - rhs|, min rhs).
+    From full meshgrids; the oracle for :func:`diskarea.mirror_pair_residual`.
+    """
+    r = _check_radius(r, allow_zero=False)
+    a = np.linspace(0.0, TWO_PI, grid_n + 1)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    kern = area_kernel(r, A)
+    lhs = kern * tangent_gap(A, B) + area_kernel(r, TWO_PI - A) * tangent_gap(TWO_PI - A, B)
+    rhs = 2.0 * kern * tangent_gap(A, math.pi)
+    return float(np.max(np.abs(lhs - rhs))), float(np.min(rhs))

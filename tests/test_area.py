@@ -128,8 +128,8 @@ class TestGreenSpectral:
         # no exact zeros: the half sum is the series truncated at half the order
         coeffs = da.fourier_from_boundary(mollified_map, order=16)
         est = da.area_green_spectral(coeffs, 0.9)
-        half = coeffs.truncated(8)
-        want = abs(est.value - da.area.spectral_area_sum(half.indices, half.coeffs, 0.9))
+        half = slice(16 - 8, 16 + 8 + 1)  # indices -8..8 of the order-16 series
+        want = abs(est.value - da.area.spectral_area_sum(coeffs.indices[half], coeffs.coeffs[half], 0.9))
         assert est.error_indicator == want > 0
 
 
@@ -319,16 +319,6 @@ class TestEstimateMetadata:
         assert est.error_indicator >= 0.0
         assert est.method == "kernel-direct"
         assert est.resolution == 512
-
-    def test_json_fields(self):
-        import json
-
-        est = da.exact_family_area("identity", 0.5)
-        doc = json.loads(est.to_json())
-        assert list(doc) == ["value", "method", "resolution", "error_indicator"]
-        assert est.to_json() == (
-            '{"value": 0.7853981633974483, "method": "exact", "resolution": 0, "error_indicator": 0.0}'
-        )
 
     @pytest.mark.parametrize("method", [da.area_kernel_direct, da.area_kernel_fft])
     @pytest.mark.parametrize("m", [-1, 0, 1])

@@ -1,10 +1,12 @@
-"""Every public module-level function of ``diskarea`` is used by the program.
+"""Every public module-level function of ``diskarea``, and every public method
+of its public classes, is used by the program.
 
 A function that only the tests call is an oracle and belongs in
-``tests/oracles.py``.  The program is every module of the package except
-``__init__``, whose re-exports do not count as uses.  A use is a name, an
-attribute, or a string equal to the function's name (``area.REGISTRY`` names
-its estimators that way); a function's uses of itself do not count.
+``tests/oracles.py``; a method that only the tests call is deleted.  The
+program is every module of the package except ``__init__``, whose re-exports
+do not count as uses.  A use is a name, an attribute, or a string equal to the
+function's name (``area.REGISTRY`` names its estimators that way); a
+function's uses of itself do not count.
 """
 
 import ast
@@ -58,21 +60,34 @@ class _Uses(ast.NodeVisitor):
             self._use(node.value)
 
 
+def _public_defs(body):
+    """Names of the public functions defined directly in a statement list."""
+    return [node.name for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+
+
 def _program():
-    """(public module-level functions as "module.name", names the program uses)."""
-    public, uses = set(), _Uses()
+    """(public module-level functions as "module.name", public methods of
+    public classes as "module.Class.name", names the program uses)."""
+    functions, methods, uses = set(), set(), _Uses()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        functions.update(f"{path.stem}.{name}" for name in _public_defs(tree.body))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
-                public.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods.update(f"{path.stem}.{node.name}.{name}" for name in _public_defs(node.body))
         uses.visit(tree)
-    return public, uses.names
+    return functions, methods, uses.names
 
 
 def test_every_public_function_is_used_by_the_program():
-    public, used = _program()
-    unused = {name for name in public if name.split(".", 1)[1] not in used}
+    functions, _, used = _program()
+    unused = {name for name in functions if name.split(".", 1)[1] not in used}
     assert unused == set(UNUSED_BY_DESIGN)
+
+
+def test_every_public_method_is_used_by_the_program():
+    _, methods, used = _program()
+    assert {name for name in methods if name.rsplit(".", 1)[1] not in used} == set()

@@ -364,27 +364,3 @@ class TestStepEvaluator:
     def test_rejects_homeomorphism_input(self, random_map):
         with pytest.raises(ValueError):
             da.eval_harmonic_step(random_map, 0.5, 0.0)
-
-
-class TestFourierCoeffsType:
-    def test_json_round_trip(self, random_map):
-        coeffs = da.fourier_from_boundary(random_map, order=32)
-        back = da.FourierCoeffs.from_json(coeffs.to_json())
-        assert np.array_equal(back.coeffs, coeffs.coeffs)
-        assert back.order == coeffs.order
-
-    def test_json_triples_ascending(self, random_map):
-        import json
-
-        coeffs = da.fourier_from_boundary(random_map, order=8)
-        triples = json.loads(coeffs.to_json())
-        ns = [row[0] for row in triples]
-        assert ns == sorted(ns)
-        assert ns[0] == -8 and ns[-1] == 8
-
-    def test_truncated(self, random_map):
-        coeffs = da.fourier_from_boundary(random_map, order=32)
-        small = coeffs.truncated(8)
-        assert small.order == 8
-        for n in range(-8, 9):
-            assert small.coeff(n) == coeffs.coeff(n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,20 +334,21 @@ class TestProfileFamily:
     def test_matches_single_profile_loop(self, radii, n_profiles, n_chains):
         got = pc.check_profile_family(radii, n_profiles=n_profiles, n_chains=n_chains)
         want = _profile_family_loop(radii, n_profiles, n_chains)
-        assert [rec.to_json() for rec in got] == [rec.to_json() for rec in want]
+        assert [oracles.record_json(rec) for rec in got] == [oracles.record_json(rec) for rec in want]
 
     def test_proof_suite_defaults_match_single_profile_loop(self):
         radii = (0.25, 0.5, 0.75, 0.9)
         got = pc.check_profile_family(radii)
-        assert [rec.to_json() for rec in got] == [rec.to_json() for rec in _profile_family_loop(radii, 500, 200)]
+        want = _profile_family_loop(radii, 500, 200)
+        assert [oracles.record_json(rec) for rec in got] == [oracles.record_json(rec) for rec in want]
         assert all(rec.passed for rec in got)
 
     def test_block_size_does_not_change_records(self, monkeypatch):
         radii = (0.3, 0.9)
-        want = [rec.to_json() for rec in pc.check_profile_family(radii, 40, 25)]
+        want = [oracles.record_json(rec) for rec in pc.check_profile_family(radii, 40, 25)]
         for block in (1, 7, 40, 1000):
             monkeypatch.setattr(pc, "_PROFILE_BLOCK", block)
-            assert [rec.to_json() for rec in pc.check_profile_family(radii, 40, 25)] == want
+            assert [oracles.record_json(rec) for rec in pc.check_profile_family(radii, 40, 25)] == want
 
     def test_non_monotone_row_raises(self, monkeypatch):
         draw = pc._random_values
@@ -382,7 +384,10 @@ class TestBatchedProfileHelpers:
         for r in (0.3, 0.6, 0.9):
             kern = da.area_kernel(r, a)
             q1 = np.trapezoid(kern * gap, a, axis=-1)
-            windows = pc._window_integrals(a, cutoffs, kern * gap, kern * frozen, kern * da.tangent_gap(a, math.pi))
+            terms = pc._trapezoid_terms(kern * gap, a)
+            assert np.array_equal(terms.sum(axis=-1), q1)  # the family's q1, bit for bit
+            windows = pc._window_integrals(cutoffs, terms, pc._trapezoid_terms(kern * frozen, a),
+                                           pc._trapezoid_terms(kern * da.tangent_gap(a, math.pi), a))
             for row, vals in enumerate(block):
                 g = da.MonotoneProfile(vals)
                 value, cutoff = da.profile_gap_integral(g, r)
@@ -436,14 +441,51 @@ class TestSharedGrid:
 
     def test_mirror_pair_residual_unchanged_by_kernel_reuse(self):
         for r, n in ((0.3, 256), (0.7, 128), (0.9, 64)):
-            a = np.linspace(0.0, TWO_PI, n + 1)
-            A, B = np.meshgrid(a, a, indexing="ij")
-            lhs = da.area_kernel(r, A) * da.tangent_gap(A, B) + da.area_kernel(r, TWO_PI - A) * da.tangent_gap(
-                TWO_PI - A, B
-            )
-            rhs = 2.0 * da.area_kernel(r, A) * da.tangent_gap(A, math.pi)
-            want = (float(np.max(np.abs(lhs - rhs))), float(np.min(rhs)))
-            assert da.mirror_pair_residual(r, n) == want
+            assert da.mirror_pair_residual(r, n) == oracles.mirror_pair_residual_meshgrid(r, n)
+
+
+GRID_RADII = ((0.3, 0.6, 0.9), (0.25, 0.5, 0.75, 0.9), (0.1, 0.97))
+
+
+class TestGridChecksFromRowsAndColumns:
+    """The grid checks built from a column and a row of angles give the
+    meshgrid forms' records exactly: each transcendental of a broadcast
+    vector must equal the same function on the full grid, element by element."""
+
+    @pytest.mark.parametrize("radii", GRID_RADII)
+    @pytest.mark.parametrize("grid_n", [64, 128, 256, 512])
+    def test_tangent_gap_signs_equal_meshgrid_form(self, grid_n, radii):
+        got = pc.check_tangent_gap_signs(grid_n, radii)
+        want = oracles.check_tangent_gap_signs_meshgrid(grid_n, radii)
+        assert got == want
+        assert oracles.record_json(got) == oracles.record_json(want)
+
+    @pytest.mark.parametrize("radii", GRID_RADII)
+    @pytest.mark.parametrize("grid_n", [64, 128, 256, 512])
+    def test_mirror_pair_residual_equals_meshgrid_form(self, grid_n, radii):
+        for r in radii:
+            got = pc.mirror_pair_residual(r, grid_n)
+            want = oracles.mirror_pair_residual_meshgrid(r, grid_n)
+            assert got == want
+            assert repr(got) == repr(want)
+
+    @staticmethod
+    def _peak_mib(fn, *args):
+        fn(*args)  # one-time allocations (caches, first-call setup) are not counted
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_tangent_gap_signs_working_set(self):
+        # the meshgrid form peaks at about 4.5 MiB, the row/column form at about 2.5
+        assert self._peak_mib(pc.check_tangent_gap_signs, 256, (0.25, 0.5, 0.75, 0.9)) < 3.5
+
+    def test_mirror_pair_residual_working_set(self):
+        # the meshgrid form peaks at about 4.5 MiB, the row/column form at about 1.6
+        assert self._peak_mib(pc.mirror_pair_residual, 0.7, 256) < 2.5
 
 
 class TestCompoundVerdicts:

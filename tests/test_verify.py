@@ -201,7 +201,7 @@ class TestVerdictPlumbing:
         import json
 
         rec = da.check_area_contraction(da.make_identity(), 0.5, map_id="identity")
-        doc = json.loads(rec.to_json())
+        doc = json.loads(oracles.record_json(rec))
         assert doc["check_name"] == "area-contraction"
         assert doc["passed"] is True
         assert list(doc) == [
