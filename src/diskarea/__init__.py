@@ -40,7 +40,6 @@ from .circle_maps import (
     make_random_homeomorphism,
     make_rotation,
     make_step_map,
-    map_hash,
     mollify_map,
     to_json,
 )

@@ -239,25 +239,26 @@ def area_jacobian_grid(
     return AreaEstimate(full, JACOBIAN_GRID, n_rho, abs(full - half))
 
 
-def family_coeffs(family: str, param=None, order: int = 64) -> FourierCoeffs:
-    """Exact Fourier coefficients of the closed-form test families."""
+def family_coeffs(family: str, param=None) -> FourierCoeffs:
+    """Exact Fourier coefficients of the closed-form test families; the Mobius
+    series is truncated at order 64."""
     if family == FAMILY_IDENTITY:
-        return FourierCoeffs.from_dict({1: 1.0}, source_hash="identity")
+        return FourierCoeffs.from_dict({1: 1.0})
     if family == FAMILY_ROTATION:
-        return FourierCoeffs.from_dict({1: np.exp(1j * float(param))}, source_hash="rotation")
+        return FourierCoeffs.from_dict({1: np.exp(1j * float(param))})
     if family == FAMILY_SHEAR:
         c = complex(param)
         if not 0 <= abs(c) < 0.5:
             raise ValueError("shear parameter must satisfy |c| < 1/2")
-        return FourierCoeffs.from_dict({1: 1.0, -2: c}, source_hash="shear")
+        return FourierCoeffs.from_dict({1: 1.0, -2: c})
     if family == FAMILY_MOBIUS:
         a = complex(param)
         if not abs(a) < 1.0:
             raise ValueError("Mobius parameter must satisfy |a| < 1")
         entries = {0: -a}
-        for n in range(1, order + 1):
+        for n in range(1, 65):
             entries[n] = (1.0 - abs(a) ** 2) * np.conj(a) ** (n - 1)
-        return FourierCoeffs.from_dict(entries, source_hash="mobius")
+        return FourierCoeffs.from_dict(entries)
     raise ValueError(f"unknown family {family!r}")
 
 

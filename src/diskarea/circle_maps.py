@@ -11,7 +11,6 @@ nowhere else.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -211,21 +210,22 @@ def make_step_map(jump_points, values) -> BoundaryMap:
     return BoundaryMap(knots_t=t, knots_lift=lift, omega=1.0 + 0.0j, kind=NONDECREASING_STEP)
 
 
-def mollify_map(bmap: BoundaryMap, width: float = TWO_PI / 64, n_knots: int = 8192) -> BoundaryMap:
+def mollify_map(bmap: BoundaryMap, width: float = TWO_PI / 64) -> BoundaryMap:
     """Smooth the periodic part of the lift by a wrapped-Gaussian of the given width.
 
     The deviation lift(t) - t is filtered in Fourier space with the positive
     kernel exp(-(n*width)^2 / 2), which preserves monotonicity, then resampled
-    on ``n_knots`` piecewise-linear knots.  Restores spectral quadrature
-    accuracy for piecewise-linear inputs.
+    on 8192 piecewise-linear knots.  Restores spectral quadrature accuracy
+    for piecewise-linear inputs.
     """
     if not 0.0 < width < math.inf:
         raise ValueError("width must be positive and finite")
     if bmap.kind != HOMEOMORPHISM:
         raise ValueError("only homeomorphisms are mollified")
-    t = np.linspace(0.0, TWO_PI, n_knots, endpoint=False)
+    n = 8192  # knots of every mollified map
+    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
     zeta = eval_lift(bmap, t) - t
-    freqs = np.fft.fftfreq(n_knots, d=1.0 / n_knots)
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
     damp = np.exp(-0.5 * (freqs * width) ** 2)
     zeta_s = np.fft.ifft(np.fft.fft(zeta) * damp).real
     lift = t + zeta_s
@@ -271,16 +271,3 @@ def from_json(text: str) -> BoundaryMap:
         omega=complex(doc["omega_re"], doc["omega_im"]),
         kind=doc["kind"],
     )
-
-
-def map_hash(bmap: BoundaryMap) -> str:
-    """Short stable identifier of the exact knot content.
-
-    The first 12 hex digits of the SHA-1 of ``kind``, then ``omega`` and the
-    knot arrays ``knots_t`` and ``knots_lift`` as raw little-endian float64
-    bytes.  Equal maps hash equal; a one-ulp change in any knot changes it.
-    """
-    h = hashlib.sha1(bmap.kind.encode() + b"\0")
-    for part in ((bmap.omega.real, bmap.omega.imag), bmap.knots_t, bmap.knots_lift):
-        h.update(np.asarray(part, dtype="<f8").tobytes())
-    return h.hexdigest()[:12]

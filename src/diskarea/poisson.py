@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle_maps import (
-    NONDECREASING_STEP,
-    TWO_PI,
-    BoundaryMap,
-    boundary_values,
-    map_hash,
-)
+from .circle_maps import NONDECREASING_STEP, TWO_PI, BoundaryMap, boundary_values
 
 
 def _check_radius(r, allow_zero: bool = True):
@@ -66,16 +60,11 @@ def sample_count(r: float) -> int:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Truncated two-sided Fourier coefficients c_n, |n| <= order.
-
-    ``coeffs[i]`` stores c_{i - order}.  ``source_hash`` identifies the
-    boundary map and sample count that produced the data (empty for
-    closed-form families).
-    """
+    """Truncated two-sided Fourier coefficients c_n, |n| <= order; ``coeffs[i]``
+    stores c_{i - order}."""
 
     coeffs: np.ndarray
     order: int
-    source_hash: str = ""
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=complex).copy()
@@ -94,12 +83,12 @@ class FourierCoeffs:
         return np.arange(-self.order, self.order + 1)
 
     @classmethod
-    def from_dict(cls, entries: dict, source_hash: str = "") -> "FourierCoeffs":
+    def from_dict(cls, entries: dict) -> "FourierCoeffs":
         order = max(abs(int(n)) for n in entries)
         c = np.zeros(2 * order + 1, dtype=complex)
         for n, v in entries.items():
             c[int(n) + order] = complex(v)
-        return cls(c, order, source_hash)
+        return cls(c, order)
 
 
 def fourier_from_boundary(bmap: BoundaryMap, order: int = 256, n_samples: int | None = None) -> FourierCoeffs:
@@ -123,7 +112,7 @@ def fourier_from_boundary(bmap: BoundaryMap, order: int = 256, n_samples: int | 
     power = float(np.sum(np.abs(c) ** 2))
     if power > 1.0 + 1e-9:
         raise ValueError(f"coefficient power {power} exceeds the unit-modulus bound")
-    return FourierCoeffs(c, order, f"{map_hash(bmap)}:{m}")
+    return FourierCoeffs(c, order)
 
 
 class UniformGrid(NamedTuple):

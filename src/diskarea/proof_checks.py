@@ -125,7 +125,7 @@ def _triangle_masks(A, B):
     return t1, t2
 
 
-def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9), map_id: str = "") -> VerdictRecord:
+def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> VerdictRecord:
     """Sign structure of the tangent gap and its kernel weighting on the square.
 
     Checks, on a (grid_n+1)^2 grid over [0, 2*pi]^2:
@@ -170,7 +170,7 @@ def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9), map_id: st
     ok = ok and worst_outside >= -1e-12 and best_inside < 0.0  # (d)
 
     lhs = min(worst, min_off, min_slope, worst_outside)
-    return make_verdict("tangent-gap-signs", map_id, radii[-1], lhs, 0.0, 1e-12, grid_n,
+    return make_verdict("tangent-gap-signs", "", radii[-1], lhs, 0.0, 1e-12, grid_n,
                         direction="ge", holds=ok)
 
 
@@ -190,11 +190,12 @@ def mirror_pair_residual(r: float, grid_n: int = 256):
     return float(np.max(np.abs(lhs - rhs))), float(np.min(rhs))
 
 
-def check_mirror_pair_identity(r: float, grid_n: int = 256, map_id: str = "") -> VerdictRecord:
-    """Mirrored-pair identity holds to 1e-12 and its right side stays >= -1e-12."""
-    resid, min_rhs = mirror_pair_residual(r, grid_n)
+def check_mirror_pair_identity(r: float) -> VerdictRecord:
+    """Mirrored-pair identity holds to 1e-12 and its right side stays >= -1e-12
+    on the 257 x 257 grid."""
+    resid, min_rhs = mirror_pair_residual(r, 256)
     lhs = max(resid, -min_rhs)
-    return make_verdict("mirror-pair-identity", map_id, r, lhs, 0.0, 1e-12, grid_n)
+    return make_verdict("mirror-pair-identity", "", r, lhs, 0.0, 1e-12, 256)
 
 
 def _lift_two_periods(bmap: BoundaryMap, m: int):
@@ -221,14 +222,12 @@ def cos_identity_residual(bmap: BoundaryMap, r: float, n_samples: int = 512) -> 
     return abs(cos_sum) / (m * m)
 
 
-def check_gap_double_integral(
-    bmap: BoundaryMap, r: float, n_samples: int = 512, tol: float = 1e-8, map_id: str = ""
-) -> VerdictRecord:
+def check_gap_double_integral(bmap: BoundaryMap, r: float, n_samples: int = 512, map_id: str = "") -> VerdictRecord:
     """Kernel-weighted tangent-gap double integral is nonnegative, and its value
     accounts exactly for the area deficit.
 
     The double sum of K(a) {sin a + (g - a) cos a - sin g} over matched grids
-    must be >= -tol, and value / (4 pi) must reproduce pi r^2 minus the
+    must be >= -1e-8, and value / (4 pi) must reproduce pi r^2 minus the
     kernel-quadrature area at the same resolution.
     """
     r = _check_radius(r, allow_zero=False)
@@ -244,7 +243,7 @@ def check_gap_double_integral(
     # them could not catch an error in them
     area = (math.pi / (m * m)) * pair_sums.sin_pair_sum(kern, lift2[:m])
     bookkeeping = abs((math.pi * r * r - area) - value / (4.0 * math.pi))
-    return make_verdict("gap-double-integral", map_id, r, -value, 0.0, tol, m, holds=bookkeeping <= 1e-6)
+    return make_verdict("gap-double-integral", map_id, r, -value, 0.0, 1e-8, m, holds=bookkeeping <= 1e-6)
 
 
 def profile_gap_integral(g: MonotoneProfile, r: float) -> tuple[float, float]:

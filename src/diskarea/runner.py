@@ -57,8 +57,6 @@ VERIFY_COLUMNS = (
 
 MAX_RADIUS = 0.97  # kernel concentration cap for sweep radii
 
-SUITES = ("contraction", "equality", "schwarz", "boundary", "convexity", "proof", "all")
-
 
 class ConfigError(ValueError):
     """Malformed family spec or sweep configuration (a usage error)."""
@@ -167,7 +165,7 @@ def expand_families(config: SweepConfig) -> list[FamilyInstance]:
 def _conjugate_source(source):
     if isinstance(source, BoundaryMap):
         return conjugate_map(source)
-    return FourierCoeffs(np.conj(source.coeffs), source.order, source.source_hash)
+    return FourierCoeffs(np.conj(source.coeffs), source.order)
 
 
 def _area_one(inst: FamilyInstance, r: float, method: str, config: SweepConfig):
@@ -426,13 +424,12 @@ _SUITE_RUNNERS = {
     "proof": run_proof_suite,
 }
 
+SUITES = (*_SUITE_RUNNERS, "all")
+
 
 def run_suite(name: str, config: SweepConfig) -> list[dict]:
     if name == "all":
-        rows = []
-        for key in ("contraction", "equality", "schwarz", "boundary", "convexity", "proof"):
-            rows.extend(_SUITE_RUNNERS[key](config))
-        return rows
+        return [row for run in _SUITE_RUNNERS.values() for row in run(config)]
     if name not in _SUITE_RUNNERS:
         raise ConfigError(f"unknown suite {name!r} (choose from {SUITES})")
     return _SUITE_RUNNERS[name](config)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .area import GREEN_SPECTRAL, HypothesisViolationError, estimate_area, spectral_area_sum
+from .area import GREEN_SPECTRAL, HypothesisViolationError, _coeffs_for, estimate_area, spectral_area_sum
 from .circle_maps import HOMEOMORPHISM, NONDECREASING_STEP, TWO_PI, BoundaryMap
 from .poisson import (
     FourierCoeffs,
@@ -29,6 +29,15 @@ from .poisson import (
     fourier_from_boundary,
     wirtinger_on_circle,
 )
+
+# The fixed resolutions of the checks: the Schwarz bound's polar grid, and the
+# circles 1 - eps, angles and extraction order of the flux.  The eps descend:
+# the extrapolation takes them in this order, which fixes its rounding.
+_SCHWARZ_RADII = np.linspace(0.015, 0.96, 64)
+_SCHWARZ_GRID = UniformGrid(64)
+_FLUX_EPS = (0.04, 0.02, 0.01)
+_FLUX_N_THETA = 1024
+_FLUX_ORDER = 256
 
 # Default tolerance of each check whose tolerance a sweep may override.
 TOLERANCES = {
@@ -117,39 +126,28 @@ def schwarz_bound(radii):
 
 
 def schwarz_bound_check(
-    bmap: BoundaryMap,
-    radii=None,
-    n_theta: int = 64,
-    tol: float = TOLERANCES["schwarz-bound"],
-    map_id: str = "",
-    order: int = 512,
+    bmap: BoundaryMap, tol: float = TOLERANCES["schwarz-bound"], map_id: str = "", order: int = 512
 ) -> VerdictRecord:
-    """Max over a polar grid of |f| - (4/pi) arctan r must stay <= 0.
+    """Max of |f| - (4/pi) arctan r over 64 radii in [0.015, 0.96] x 64 angles must stay <= 0.
 
     The bound needs f(0) = 0, so the boundary data must already be centered;
     no recentering is applied (postcomposition with a disk automorphism does
     not preserve harmonicity).  An uncentered map, |f(0)| > 1e-10, raises
     HypothesisViolationError.
     """
-    if radii is None:
-        radii = np.linspace(0.015, 0.96, 64)
-    radii = np.asarray(radii, dtype=float)
-    grid = UniformGrid(n_theta)
     if bmap.kind == NONDECREASING_STEP:
         center = eval_harmonic_step(bmap, 0.0, 0.0)
-        if abs(center) > 1e-10:
-            raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")
-        vals = eval_harmonic_step(bmap, radii, grid.angles)
+        vals = eval_harmonic_step(bmap, _SCHWARZ_RADII, _SCHWARZ_GRID.angles)
         resolution = bmap.n_knots
     else:
         coeffs = fourier_from_boundary(bmap, order=order)
         center = coeffs.coeff(0)
-        if abs(center) > 1e-10:
-            raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")
-        vals = eval_harmonic(coeffs, radii, grid)
+        vals = eval_harmonic(coeffs, _SCHWARZ_RADII, _SCHWARZ_GRID)
         resolution = order
-    worst = float(np.max(np.max(np.abs(vals), axis=1) - schwarz_bound(radii)))
-    return make_verdict("schwarz-bound", map_id, float(radii[-1]), worst, 0.0, tol, resolution)
+    if abs(center) > 1e-10:
+        raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")
+    worst = float(np.max(np.max(np.abs(vals), axis=1) - schwarz_bound(_SCHWARZ_RADII)))
+    return make_verdict("schwarz-bound", map_id, float(_SCHWARZ_RADII[-1]), worst, 0.0, tol, resolution)
 
 
 def _neville_to_zero(xs, ys):
@@ -167,56 +165,42 @@ def _neville_to_zero(xs, ys):
     return tbl[0], last_corr
 
 
-def boundary_flux_integral(source, rho, n_theta: int = 1024, order: int = 256):
+def boundary_flux_integral(source, rho):
     """Angular integral of det Df around the circle of radius rho.
 
     Normalized per unit angle times 2*pi, i.e. the rho -> 1 limit equals the
     boundary line integral of |det Df|; for the identity it is 2*pi at every
     rho.  An array of radii gives an array of integrals, from one series
-    evaluation.
+    evaluation at 1024 angles; boundary maps are extracted at order 256.
     """
-    if isinstance(source, BoundaryMap):
-        coeffs = fourier_from_boundary(source, order=order)
-    else:
-        coeffs = source
-    dh, dg = wirtinger_on_circle(coeffs, rho, UniformGrid(n_theta))
+    dh, dg = wirtinger_on_circle(_coeffs_for(source, _FLUX_ORDER), rho, UniformGrid(_FLUX_N_THETA))
     det = np.abs(dh) ** 2 - np.abs(dg) ** 2
     flux = np.mean(np.abs(det), axis=-1) * TWO_PI
     return flux if flux.ndim else float(flux)
 
 
-def boundary_jacobian_integral(
-    source,
-    eps_list=(0.04, 0.02, 0.01),
-    n_theta: int = 1024,
-    order: int = 256,
-    tol: float = TOLERANCES["boundary-flux"],
-    map_id: str = "",
-) -> VerdictRecord:
+def boundary_jacobian_integral(source, tol: float = TOLERANCES["boundary-flux"], map_id: str = "") -> VerdictRecord:
     """Extrapolated boundary integral of |det Df| must be at least 2*pi.
 
-    Evaluates the flux on the circles 1 - eps, all in one call of
-    :func:`boundary_flux_integral`, and extrapolates polynomially to
+    Evaluates the flux on the circles 1 - {0.04, 0.02, 0.01}, all in one call
+    of :func:`boundary_flux_integral`, and extrapolates polynomially to
     the boundary; smooth (mollified or closed-form) data is assumed.  A
     blown-up extrapolation step marks the verdict inconclusive rather than
     failed.
     """
     if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
         raise HypothesisViolationError("boundary flux check needs a homeomorphism")
-    eps = sorted(set(float(e) for e in eps_list), reverse=True)
-    if len(eps) < 2 or min(eps) <= 0 or max(eps) >= 1:
-        raise ValueError("eps_list must hold at least two distinct values in (0, 1)")
-    vals = boundary_flux_integral(source, 1.0 - np.array(eps), n_theta, order)
-    limit, step = _neville_to_zero(eps, vals)
+    vals = boundary_flux_integral(source, 1.0 - np.array(_FLUX_EPS))
+    limit, step = _neville_to_zero(_FLUX_EPS, vals)
     spread = max(vals) - min(vals)
     inconclusive = not math.isfinite(limit) or step > max(1.0, 10.0 * spread)
     return make_verdict(
-        "boundary-flux", map_id, 1.0, limit, TWO_PI, tol, n_theta, inconclusive, direction="ge"
+        "boundary-flux", map_id, 1.0, limit, TWO_PI, tol, _FLUX_N_THETA, inconclusive, direction="ge"
     )
 
 
-def holomorphic_convexity_check(series, r: float, tol: float = 1e-12, map_id: str = "") -> VerdictRecord:
-    """For injective holomorphic series: area(r) <= r^2 * area(1).
+def holomorphic_convexity_check(series, r: float, map_id: str = "") -> VerdictRecord:
+    """For injective holomorphic series: area(r) <= r^2 * area(1), to 1e-12.
 
     ``series`` lists c_1..c_N (or a FourierCoeffs, whose two-sided indices are
     then used, letting the harness exhibit the designed failure for harmonic
@@ -232,17 +216,17 @@ def holomorphic_convexity_check(series, r: float, tol: float = 1e-12, map_id: st
         ns = np.arange(1, cs.size + 1)
     lhs = spectral_area_sum(ns, cs, r)
     rhs = r * r * math.pi * float(np.sum(ns * np.abs(cs) ** 2))
-    return make_verdict("holomorphic-convexity", map_id, r, lhs, rhs, tol, int(np.max(np.abs(ns))))
+    return make_verdict("holomorphic-convexity", map_id, r, lhs, rhs, 1e-12, int(np.max(np.abs(ns))))
 
 
-def univalence_margin(series, n_samples: int = 256) -> float:
+def univalence_margin(series) -> float:
     """Certified lower bound on Re(e^{-i arg c_1} f'(z)) over the closed unit disk.
 
     ``series`` lists c_1..c_N of the polynomial f(z) = sum c_n z^n.  A
     positive margin proves f univalent on the disk (Noshiro 1934, Warschawski
     1935: Re(e^{i phi} f') > 0 on a convex domain).  Re(e^{i phi} f') is
     harmonic, so its minimum over the closed disk lies on the circle, and
-    between the m = ``n_samples`` uniform samples of f'(e^{i theta}) it falls
+    between the m = 256 uniform samples of f'(e^{i theta}) it falls
     at most pi L / m below the nearest one, where L = sum n (n - 1) |c_n|
     bounds |d/dtheta f'(e^{i theta})|.  The margin is the sample minimum
     minus pi L / m.  The theorem is only sufficient: a margin <= 0 leaves
@@ -250,6 +234,7 @@ def univalence_margin(series, n_samples: int = 256) -> float:
     """
     cs = np.asarray(series, dtype=complex)
     n = np.arange(1, cs.size + 1)
-    fprime = _series(n * cs, 0, 1.0, UniformGrid(n_samples))
+    m = 256
+    fprime = _series(n * cs, 0, 1.0, UniformGrid(m))
     lipschitz = float(np.sum(n * (n - 1) * np.abs(cs)))
-    return float(np.min(np.real(np.exp(-1j * np.angle(cs[0])) * fprime))) - math.pi * lipschitz / n_samples
+    return float(np.min(np.real(np.exp(-1j * np.angle(cs[0])) * fprime))) - math.pi * lipschitz / m

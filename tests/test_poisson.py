@@ -125,11 +125,10 @@ class TestFourierFromBoundary:
         coeffs = da.fourier_from_boundary(random_map, order=256)
         assert np.sum(np.abs(coeffs.coeffs) ** 2) <= 1.0 + 1e-9
 
-    def test_deterministic_and_hashed(self, random_map):
+    def test_deterministic(self, random_map):
         c1 = da.fourier_from_boundary(random_map, order=64)
         c2 = da.fourier_from_boundary(random_map, order=64)
         assert np.array_equal(c1.coeffs, c2.coeffs)
-        assert c1.source_hash == c2.source_hash != ""
 
     def test_oversampling_guard(self, random_map):
         with pytest.raises(ValueError):
