@@ -260,6 +260,13 @@ class TestSuites:
         with pytest.raises(runner.ConfigError):
             runner.run_suite("nope", runner.SweepConfig(radii=[0.5]))
 
+    def test_all_runs_every_suite_in_order(self):
+        assert runner.SUITES == ("contraction", "equality", "schwarz", "boundary", "convexity", "proof", "all")
+        config = runner.SweepConfig(radii=[0.5], seeds=[0])
+        strip = lambda rows: [{k: v for k, v in row.items() if k != "wall_time_ms"} for row in rows]
+        each = [row for name in runner.SUITES[:-1] for row in runner.run_suite(name, config)]
+        assert strip(runner.run_suite("all", config)) == strip(each)
+
 
 class TestEmission:
     def test_csv_columns_fixed(self):

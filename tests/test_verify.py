@@ -116,6 +116,14 @@ class TestBoundaryFlux:
         for rho in (0.9, 0.96, 0.99):
             assert abs(da.verify.boundary_flux_integral(coeffs, rho) - TWO_PI) < 1e-12
 
+    def test_boundary_map_is_extracted_at_order_256(self):
+        bmap = da.mollify_map(da.make_random_homeomorphism(5))
+        rho = np.array([0.9, 0.99])
+        from_map = da.verify.boundary_flux_integral(bmap, rho)
+        from_coeffs = da.verify.boundary_flux_integral(da.fourier_from_boundary(bmap, order=256), rho)
+        assert np.array_equal(from_map, from_coeffs)
+        assert da.boundary_jacobian_integral(bmap).resolution == 1024
+
     def test_rotation_exact(self):
         rec = da.boundary_jacobian_integral(da.family_coeffs("rotation", 1.0))
         assert rec.passed
