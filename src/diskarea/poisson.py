@@ -11,8 +11,8 @@ so they converge spectrally.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,15 +115,30 @@ def fourier_from_boundary(bmap: BoundaryMap, order: int = 256, n_samples: int | 
     return FourierCoeffs(c, order)
 
 
-class UniformGrid(NamedTuple):
+@dataclass(frozen=True)
+class UniformGrid:
     """The ``n_theta`` angles shift + 2 pi k / n_theta, k = 0 .. n_theta - 1.
 
     Passed where an evaluator takes angles, it makes the angle axis of the
-    result the grid's ``n_theta`` angles.
+    result the grid's ``n_theta`` angles.  ``n_theta`` must be an integer of
+    at least 1 and ``shift`` finite.
     """
 
     n_theta: int
     shift: float = 0.0
+
+    def __post_init__(self):
+        try:
+            n_theta = operator.index(self.n_theta)
+        except TypeError:
+            raise ValueError(f"n_theta must be an integer, got {self.n_theta!r}") from None
+        if n_theta < 1:
+            raise ValueError(f"n_theta must be at least 1, got {n_theta}")
+        shift = float(self.shift)
+        if not math.isfinite(shift):
+            raise ValueError(f"shift must be finite, got {self.shift!r}")
+        object.__setattr__(self, "n_theta", n_theta)
+        object.__setattr__(self, "shift", shift)
 
     @property
     def angles(self) -> np.ndarray:
@@ -142,35 +157,70 @@ def _series(c, n0, rho, theta):
     polynomial may be evaluated on the unit circle.
 
     On theta_k = shift + 2 pi k / T, e^{i n theta_k} = e^{i n shift} w^{nk}
-    with w = e^{2 pi i / T}, and w^{nk} depends on n only through n mod T.
-    So the weights e^{i n shift} rho^|n| c_n are first folded, exactly, into
-    at most T bins j = n mod T, and the bins are then contracted against the
-    table w^{jk}, gathered from the T roots of unity by the integer index
-    (j k) mod T.  No terms x angles exponential table is built, and more
-    terms than angles cost one pass over the terms, not a larger product.
+    with w = e^{2 pi i / T}, and w^{nk} depends on n only through n mod T:
+    the table w^{jk} is gathered from the T roots of unity by the integer
+    index (j k) mod T, and no terms x angles exponential is evaluated.  The
+    product rho^|n| * (c_n e^{i n shift}) * w^{nk} is taken in one of two
+    orders, whichever builds the smaller complex operand:
+
+    * weights first: the weights rho^|n| c_n e^{i n shift} (series x radii x
+      terms) are folded, exactly, into at most T bins j = n mod T, and the
+      bins are multiplied by the table.  More terms than angles then cost
+      one pass over the terms, not a larger product;
+    * radial powers last, for a grid with no more terms than angles and more
+      radii than angles: the weighted table c_n e^{i n shift} w^{nk} (terms
+      x series x angles) is built once, and the real powers multiply its
+      float view in one real matrix product, half the flops of the complex
+      one.  On the Jacobian grid (1024 radii, 512 angles, 2 x 64 terms) one
+      call took about 4.5 instead of 7.5 ms (2 vCPUs, numpy 2.4.6 with a
+      2-thread OpenBLAS).
+
     The bins -> angles step stays a matrix product rather than a zero-padded
-    FFT: on the Jacobian grid's shape (2 x 1024 rows of 64 bins, 512 angles)
-    the padded FFT took about twice as long (13 against 6.5 ms, 2 vCPUs,
-    numpy 2.4.6 with a 2-thread OpenBLAS).
+    FFT, which took about twice as long as the complex product on the
+    Jacobian grid's shape.
     """
     rho = np.asarray(rho, dtype=float)
     if isinstance(theta, UniformGrid):
-        n_theta, shift = int(theta.n_theta), np.asarray(float(theta.shift))
+        n_theta, shift = theta.n_theta, np.asarray(theta.shift)
         tail = (n_theta,)
     else:
         shift = np.asarray(theta, dtype=float)
         n_theta, tail = 1, shift.shape
-    ns = n0 + np.arange(c.shape[-1])
+    lead, n_terms = c.shape[:-1], c.shape[-1]
+    ns = n0 + np.arange(n_terms)
     shifted = c[..., None, :] * np.exp(1j * np.multiply.outer(shift.ravel(), ns))
-    # one power per |n|: a two-sided series needs each of them twice
-    powers = (np.reshape(rho, (-1, 1)) ** np.arange(np.max(np.abs(ns), initial=0) + 1))[:, np.abs(ns)]
-    bins, residues = _fold(powers, shifted, n0, n_theta)
+    powers = _radial_powers(rho, ns, c)
     roots = np.exp(1j * (TWO_PI / n_theta) * np.arange(n_theta))
+    if isinstance(theta, UniformGrid) and n_terms <= n_theta < powers.shape[0]:
+        table = roots[np.multiply.outer(ns % n_theta, np.arange(n_theta)) % n_theta]
+        # B[n, series, k], whose float view interleaves real and imaginary parts
+        n_series = math.prod(lead)
+        weighted = np.swapaxes(shifted.reshape(n_series, n_terms), 0, 1)[:, :, None] * table[:, None, :]
+        flat = (powers @ weighted.reshape(n_terms, n_series * n_theta).view(float)).view(complex)
+        # radii lead the product's rows: move them behind the series axes, as a view
+        radii_axes = range(rho.ndim)
+        return np.moveaxis(flat.reshape(rho.shape + lead + tail), radii_axes, [len(lead) + i for i in radii_axes])
+    bins, residues = _fold(powers, shifted, n0, n_theta)
     table = roots[np.multiply.outer(residues, np.arange(n_theta)) % n_theta]
     # one matrix product for every series, radius and shift together
     flat = bins.reshape(math.prod(bins.shape[:-1]), residues.size)
-    out = (flat @ table).reshape(c.shape[:-1] + rho.shape + tail)
+    out = (flat @ table).reshape(lead + rho.shape + tail)
     return out if out.ndim else complex(out)
+
+
+def _radial_powers(rho, ns, c):
+    """rho^|n| for every radius (rows) and index n of ``ns`` (columns).
+
+    One power is computed per |n|, since a two-sided series needs each of
+    them twice.  A power whose term rho^|n| * max |c_n| over the stacked
+    series ``c`` falls below the smallest normal double is set to zero: it
+    cannot change a sum that is a normal number, and subnormal operands
+    take the CPU's slow path through every product that follows.
+    """
+    powers = (np.reshape(rho, (-1, 1)) ** np.arange(np.max(np.abs(ns), initial=0) + 1))[:, np.abs(ns)]
+    scale = np.max(np.abs(c), axis=tuple(range(c.ndim - 1)), initial=0.0)
+    powers[powers * scale < np.finfo(float).tiny] = 0.0
+    return powers
 
 
 def _fold(powers, shifted, n0, n_bins):
@@ -211,7 +261,9 @@ def wirtinger_on_circle(coeffs: FourierCoeffs, rho, thetas) -> tuple[np.ndarray,
     Splitting f = h(z) + conj(g(z)) into its analytic and co-analytic parts,
     returns (h'(z), g'(z)); the Jacobian determinant is |h'|^2 - |g'|^2.  An
     array of radii ``rho`` gives one row per circle; ``thetas`` is an array
-    of angles or a :class:`UniformGrid`, as in :func:`eval_harmonic`.
+    of angles or a :class:`UniformGrid`, as in :func:`eval_harmonic`.  The
+    two series are evaluated together, so ``dh`` and ``dg`` are views of one
+    buffer, and neither need be contiguous.
     """
     n = coeffs.order
     k = np.arange(1, n + 1)

@@ -226,6 +226,19 @@ class TestJacobianGrid:
             tracemalloc.stop()
         assert peak <= 22 * 2**20
 
+    def test_default_grid_builds_no_weights_array(self):
+        # more rings than angles: the powers multiply a 64 x 2 x 512 weighted
+        # table, and no 2 x 1024 x 64 complex array of weights is built
+        coeffs = da.family_coeffs("mobius", 0.3)
+        da.area_jacobian_grid(coeffs, 0.9, 8, 8)
+        tracemalloc.start()
+        try:
+            da.area_jacobian_grid(coeffs, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
     def test_random_matches_green(self, mollified_map):
         jac = da.area_jacobian_grid(mollified_map, 0.5, 512, 256)
         green = da.area_green_quadrature(mollified_map, 0.5, 1024)

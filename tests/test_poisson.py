@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
+from diskarea import poisson
 
 import oracles
 
@@ -311,6 +312,92 @@ class TestGridEvaluation:
         monkeypatch.setattr(np, "exp", recording_exp)
         da.eval_harmonic(coeffs, self.RADII, da.UniformGrid(64))
         assert sizes and max(sizes) <= coeffs.coeffs.size
+
+    # more radii than angles, and no more terms than angles: the radial powers are taken last
+    MANY_RADII = np.linspace(0.0, 0.95, 40).reshape(5, 8)
+
+    def fold_forbidden(self, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("the series evaluator folded the weights")
+
+        monkeypatch.setattr(poisson, "_fold", no_fold)
+
+    @pytest.mark.parametrize("order", [4, 7])
+    def test_more_radii_than_angles(self, mollified_map, monkeypatch, order):
+        # two-sided: 2 * order + 1 <= 16 terms on 16 angles, half-step shift, 2-D radii
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        grid = da.UniformGrid(16, math.pi / 16)
+        self.fold_forbidden(monkeypatch)
+        values = da.eval_harmonic(coeffs, self.MANY_RADII, grid)
+        assert values.shape == self.MANY_RADII.shape + (16,)
+        for idx in np.ndindex(self.MANY_RADII.shape):
+            assert np.max(np.abs(values[idx] - horner(coeffs, self.MANY_RADII[idx], grid.angles))) < 1e-13
+
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_more_radii_than_angles_stacked_series(self, mollified_map, monkeypatch, order):
+        # h' and g' have order terms each; order 16 fills the 16 angles exactly
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        n = coeffs.order
+        k = np.arange(1, n + 1)
+        grid = da.UniformGrid(16, 0.25)
+        self.fold_forbidden(monkeypatch)
+        dh, dg = da.wirtinger_on_circle(coeffs, self.MANY_RADII, grid)
+        assert dh.shape == dg.shape == self.MANY_RADII.shape + (16,)
+        for idx in np.ndindex(self.MANY_RADII.shape):
+            z = self.MANY_RADII[idx] * np.exp(1j * grid.angles)
+            assert np.max(np.abs(dh[idx] - polyval(z, k * coeffs.coeffs[n + 1 :]))) < 1e-13
+            assert np.max(np.abs(dg[idx] - polyval(z, k * np.conj(coeffs.coeffs[:n][::-1])))) < 1e-13
+
+    def test_more_radii_than_angles_rows_equal_single_radius_calls(self, mollified_map):
+        coeffs = da.fourier_from_boundary(mollified_map, order=64)
+        grid = da.UniformGrid(128, math.pi / 128)
+        radii = np.linspace(0.0, 0.97, 200)
+        dh, dg = da.wirtinger_on_circle(coeffs, radii, grid)
+        values = da.eval_harmonic(coeffs, radii, grid)
+        for i in range(0, radii.size, 13):
+            # one radius is never more radii than angles: these calls fold
+            sh, sg = da.wirtinger_on_circle(coeffs, radii[i], grid)
+            np.testing.assert_allclose(dh[i], sh, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(dg[i], sg, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(values[i], da.eval_harmonic(coeffs, radii[i], grid), rtol=1e-14, atol=1e-14)
+
+    def test_radii_up_to_angles_fold(self, mollified_map, monkeypatch):
+        # the other order only pays when it builds the smaller complex operand
+        coeffs = da.fourier_from_boundary(mollified_map, order=4)
+        self.fold_forbidden(monkeypatch)
+        with pytest.raises(AssertionError, match="folded"):
+            da.eval_harmonic(coeffs, np.linspace(0.0, 0.9, 16), da.UniformGrid(16))
+        with pytest.raises(AssertionError, match="folded"):
+            da.eval_harmonic(coeffs, np.linspace(0.0, 0.9, 40), da.UniformGrid(8))
+
+    def test_radial_powers_hold_no_subnormal(self):
+        # order 512 on rings near the centre: rho^|n| and its products with the
+        # small c_n of a Mobius map fall below the smallest normal double
+        coeffs = da.fourier_from_boundary(da.make_mobius_boundary(0.3), order=512)
+        ns = np.arange(-512, 513)
+        rho = (np.arange(1024) + 0.5) * (0.5 / 1024)
+        exact = rho[:, None] ** np.abs(ns)
+        scale = np.max(np.abs(coeffs.coeffs))
+        tiny = np.finfo(float).tiny
+        normal = exact * np.abs(coeffs.coeffs) >= tiny
+        assert np.any((exact > 0) & (exact < tiny)) and not np.all(normal)
+        powers = poisson._radial_powers(rho, ns, coeffs.coeffs)
+        assert not np.any((powers != 0) & (np.abs(powers) < tiny))
+        assert np.array_equal(powers[normal], exact[normal])
+        assert not np.any(powers[~normal])
+        # stacked series keep a power that any one of them needs
+        stacked = np.stack([coeffs.coeffs, np.full_like(coeffs.coeffs, scale)])
+        assert np.array_equal(poisson._radial_powers(rho, ns, stacked), np.where(exact * scale >= tiny, exact, 0.0))
+
+    @pytest.mark.parametrize("n_theta, shift", [(0, 0.0), (-4, 0.0), (2.5, 0.0), (8, math.nan), (8, math.inf)])
+    def test_grid_rejects_what_it_cannot_evaluate(self, n_theta, shift):
+        with pytest.raises(ValueError):
+            da.UniformGrid(n_theta, shift)
+
+    def test_grid_normalises_its_fields(self):
+        grid = da.UniformGrid(np.int64(8), 1)
+        assert type(grid.n_theta) is int and type(grid.shift) is float
+        assert grid == da.UniformGrid(8, 1.0)
 
 
 class TestWirtinger:
