@@ -157,27 +157,25 @@ def _series(c, n0, rho, theta):
     polynomial may be evaluated on the unit circle.
 
     On theta_k = shift + 2 pi k / T, e^{i n theta_k} = e^{i n shift} w^{nk}
-    with w = e^{2 pi i / T}, and w^{nk} depends on n only through n mod T:
-    the table w^{jk} is gathered from the T roots of unity by the integer
-    index (j k) mod T, and no terms x angles exponential is evaluated.  The
-    product rho^|n| * (c_n e^{i n shift}) * w^{nk} is taken in one of two
-    orders, whichever builds the smaller complex operand:
+    with w = e^{2 pi i / T}, and w^{nk} depends on n only through n mod T, so
+    no terms x angles exponential is evaluated.  The product rho^|n| *
+    (c_n e^{i n shift}) * w^{nk} is taken in one of two orders, whichever
+    builds the smaller complex operand:
 
     * weights first: the weights rho^|n| c_n e^{i n shift} (series x radii x
-      terms) are folded, exactly, into at most T bins j = n mod T, and the
-      bins are multiplied by the table.  More terms than angles then cost
-      one pass over the terms, not a larger product;
+      terms) are folded, exactly, into the T bins j = n mod T, and one
+      unscaled inverse FFT of length T sums the bins into the angles.  More
+      terms than angles then cost one pass over the terms, not a larger
+      transform, and only the one-bin sum (T = 1) calls BLAS;
     * radial powers last, for a grid with no more terms than angles and more
       radii than angles: the weighted table c_n e^{i n shift} w^{nk} (terms
-      x series x angles) is built once, and the real powers multiply its
-      float view in one real matrix product, half the flops of the complex
-      one.  On the Jacobian grid (1024 radii, 512 angles, 2 x 64 terms) one
-      call took about 4.5 instead of 7.5 ms (2 vCPUs, numpy 2.4.6 with a
-      2-thread OpenBLAS).
-
-    The bins -> angles step stays a matrix product rather than a zero-padded
-    FFT, which took about twice as long as the complex product on the
-    Jacobian grid's shape.
+      x series x angles), gathered from the T roots of unity by the index
+      (n k) mod T, is built once, and the real powers multiply its float
+      view in one real matrix product, half the flops of the complex one.
+      On the Jacobian grid (1024 radii, 512 angles, 2 x 64 terms) one call
+      took about 4.5 instead of 7.5 ms (2 vCPUs, numpy 2.4.6 with a 2-thread
+      OpenBLAS); a zero-padded FFT of the bins took about twice as long as
+      the complex product on that shape, and BLAS threads pay off there.
     """
     rho = np.asarray(rho, dtype=float)
     if isinstance(theta, UniformGrid):
@@ -190,8 +188,8 @@ def _series(c, n0, rho, theta):
     ns = n0 + np.arange(n_terms)
     shifted = c[..., None, :] * np.exp(1j * np.multiply.outer(shift.ravel(), ns))
     powers = _radial_powers(rho, ns, c)
-    roots = np.exp(1j * (TWO_PI / n_theta) * np.arange(n_theta))
     if isinstance(theta, UniformGrid) and n_terms <= n_theta < powers.shape[0]:
+        roots = np.exp(1j * (TWO_PI / n_theta) * np.arange(n_theta))
         table = roots[np.multiply.outer(ns % n_theta, np.arange(n_theta)) % n_theta]
         # B[n, series, k], whose float view interleaves real and imaginary parts
         n_series = math.prod(lead)
@@ -200,11 +198,8 @@ def _series(c, n0, rho, theta):
         # radii lead the product's rows: move them behind the series axes, as a view
         radii_axes = range(rho.ndim)
         return np.moveaxis(flat.reshape(rho.shape + lead + tail), radii_axes, [len(lead) + i for i in radii_axes])
-    bins, residues = _fold(powers, shifted, n0, n_theta)
-    table = roots[np.multiply.outer(residues, np.arange(n_theta)) % n_theta]
-    # one matrix product for every series, radius and shift together
-    flat = bins.reshape(math.prod(bins.shape[:-1]), residues.size)
-    out = (flat @ table).reshape(lead + rho.shape + tail)
+    # bin j carries w^{jk}, so sum_j bin_j w^{jk} is the bins' unscaled inverse DFT
+    out = np.fft.ifft(_fold(powers, shifted, n0, n_theta), axis=-1, norm="forward").reshape(lead + rho.shape + tail)
     return out if out.ndim else complex(out)
 
 
@@ -226,23 +221,21 @@ def _radial_powers(rho, ns, c):
 def _fold(powers, shifted, n0, n_bins):
     """Bins of the terms powers[r, i] * shifted[..., s, i], of index n0 + i, by index mod n_bins.
 
-    Returns the occupied bins, shaped ``shifted.shape[:-2] + (radii, shifts,
-    bins)``, and their residues.  One bin, as for explicit angles, sums
-    every term: a matrix product over all radii and shifts, with no radii x
-    shifts x terms array.  A grid has a single shift, and with no more terms
-    than bins each term has a bin of its own.
+    Returns the bins 0 .. n_bins - 1, shaped ``shifted.shape[:-2] + (radii,
+    shifts, n_bins)``.  One bin, as for explicit angles, sums every term: a
+    matrix product over all radii and shifts, with no radii x shifts x terms
+    array.  A grid has a single shift, and with no more terms than bins each
+    term has a bin of its own.
     """
     if n_bins == 1:
-        return (powers @ np.swapaxes(shifted, -1, -2))[..., None], np.zeros(1, dtype=int)
+        return (powers @ np.swapaxes(shifted, -1, -2))[..., None]
     weights = powers[:, None, :] * shifted[..., None, :, :]
     n_terms = weights.shape[-1]
-    if n_terms <= n_bins:
-        return weights, (n0 + np.arange(n_terms)) % n_bins
     lead = n0 % n_bins
     rows = -(-(lead + n_terms) // n_bins)
     padded = np.zeros(weights.shape[:-1] + (rows * n_bins,), dtype=complex)
     padded[..., lead : lead + n_terms] = weights
-    return padded.reshape(weights.shape[:-1] + (rows, n_bins)).sum(axis=-2), np.arange(n_bins)
+    return padded.reshape(weights.shape[:-1] + (rows, n_bins)).sum(axis=-2)
 
 
 def eval_harmonic(coeffs: FourierCoeffs, r, theta):

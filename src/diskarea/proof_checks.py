@@ -288,17 +288,18 @@ def _window_integrals(cutoffs, weighted, frozen, at_pi) -> list[tuple[float, flo
     ``frozen``, K(a) gap(a, G(pi)) per row; and ``at_pi``, K(a) gap(a, pi), one
     row for all.  Each window integral sums its own slice of the row's terms,
     never a masked or cumulative sum, so it equals the trapezoid integral of
-    that window.
+    that window.  The windows of the rows that share a cutoff are summed
+    together, one row sum each.
     """
     n = at_pi.shape[-1]
     half = n // 2
-    out = []
-    for row, i1 in enumerate(cutoffs.tolist()):
-        q2 = float(weighted[row, n - i1 : i1].sum())
-        q3 = float(frozen[row, n - i1 : i1].sum())
-        q4 = 2.0 * float(at_pi[half:i1].sum())
-        out.append((q2, q3, q4))
-    return out
+    q2, q3, q4 = np.empty((3, len(cutoffs)))
+    for i1 in set(cutoffs.tolist()):  # np.unique would import numpy.ma, 13 ms, on its first call
+        rows = np.flatnonzero(cutoffs == i1)
+        q2[rows] = weighted[rows, n - i1 : i1].sum(axis=-1)
+        q3[rows] = frozen[rows, n - i1 : i1].sum(axis=-1)
+        q4[rows] = 2.0 * at_pi[half:i1].sum()
+    return list(zip(q2.tolist(), q3.tolist(), q4.tolist()))
 
 
 def _chain_worst(q1: float, q2: float, q3: float, q4: float) -> float:

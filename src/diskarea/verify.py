@@ -233,6 +233,8 @@ def univalence_margin(series) -> float:
     univalence undecided, as it always is for c_1 = 0 (then f'(0) = 0).
     """
     cs = np.asarray(series, dtype=complex)
+    if cs.size == 0:
+        raise ValueError("univalence margin of an empty series: c_1..c_N needs N >= 1")
     n = np.arange(1, cs.size + 1)
     m = 256
     fprime = _series(n * cs, 0, 1.0, UniformGrid(m))

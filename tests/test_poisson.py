@@ -269,6 +269,45 @@ class TestGridEvaluation:
             assert np.max(np.abs(dh[i] - polyval(z, k * coeffs.coeffs[n + 1 :]))) < 1e-13
             assert np.max(np.abs(dg[i] - polyval(z, k * np.conj(coeffs.coeffs[:n][::-1])))) < 1e-13
 
+    def fold_spied(self, monkeypatch):
+        calls = []
+        fold = poisson._fold
+
+        def spy(powers, shifted, n0, n_bins):
+            calls.append(n_bins)
+            return fold(powers, shifted, n0, n_bins)
+
+        monkeypatch.setattr(poisson, "_fold", spy)
+        return calls
+
+    # odd grids with no more radii than angles: the weights fold into bins that one inverse FFT sums;
+    # order 1 fills the 3 angles from index -1, which wraps into bin 2
+    @pytest.mark.parametrize("order, n_theta", [(1, 3), (6, 3), (2, 7), (9, 7)])
+    def test_odd_grid_fold(self, mollified_map, monkeypatch, order, n_theta):
+        full = da.fourier_from_boundary(mollified_map, order=16)
+        coeffs = da.FourierCoeffs(full.coeffs[16 - order : 17 + order], order)
+        grid = da.UniformGrid(n_theta, 0.4)
+        radii = self.RADII[1:]
+        calls = self.fold_spied(monkeypatch)
+        values = da.eval_harmonic(coeffs, radii, grid)
+        assert calls == [n_theta] and values.shape == (radii.size, n_theta)
+        for row, r in zip(values, radii):
+            assert np.max(np.abs(row - horner(coeffs, r, grid.angles))) < 1e-13
+
+    @pytest.mark.parametrize("order, n_theta", [(2, 3), (8, 3), (4, 7), (12, 7)])
+    def test_odd_grid_fold_stacked_series(self, mollified_map, monkeypatch, order, n_theta):
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        k = np.arange(1, order + 1)
+        grid = da.UniformGrid(n_theta, -1.3)
+        radii = self.RADII[1:]
+        calls = self.fold_spied(monkeypatch)
+        dh, dg = da.wirtinger_on_circle(coeffs, radii, grid)
+        assert calls == [n_theta] and dh.shape == dg.shape == (radii.size, n_theta)
+        for i, rho in enumerate(radii):
+            z = rho * np.exp(1j * grid.angles)
+            assert np.max(np.abs(dh[i] - polyval(z, k * coeffs.coeffs[order + 1 :]))) < 1e-13
+            assert np.max(np.abs(dg[i] - polyval(z, k * np.conj(coeffs.coeffs[:order][::-1])))) < 1e-13
+
     def test_scalar_and_off_grid_angles(self, mollified_map):
         coeffs = da.fourier_from_boundary(mollified_map, order=512)
         value = da.eval_harmonic(coeffs, 0.8, 0.123)

@@ -124,6 +124,20 @@ class TestBoundaryFlux:
         assert np.array_equal(from_map, from_coeffs)
         assert da.boundary_jacobian_integral(bmap).resolution == 1024
 
+    def test_three_circles_build_no_terms_by_angles_table(self, mollified_map):
+        import tracemalloc
+
+        coeffs = da.fourier_from_boundary(mollified_map, order=256)
+        rho = 1.0 - np.array(da.verify._FLUX_EPS)
+        tracemalloc.start()
+        try:
+            da.verify.boundary_flux_integral(coeffs, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 256 terms x 1024 angles complex table alone would be 4 MB
+        assert peak < 1e6
+
     def test_rotation_exact(self):
         rec = da.boundary_jacobian_integral(da.family_coeffs("rotation", 1.0))
         assert rec.passed
@@ -172,6 +186,11 @@ class TestConvexity:
     def test_non_univalent_series_has_negative_margin(self):
         # f' = 1 + 1.2 z vanishes at z = -1/1.2 inside the disk
         assert da.univalence_margin([1.0, 0.6]) < -0.2
+
+    @pytest.mark.parametrize("series", [[], np.array([], dtype=complex)])
+    def test_empty_series_is_a_value_error(self, series):
+        with pytest.raises(ValueError, match="empty series"):
+            da.univalence_margin(series)
 
     @pytest.mark.parametrize("series", [[1.0, 0.1], [1j, 0.2, -0.05j], [1.0, 0.6]])
     def test_margin_bounds_the_dense_minimum(self, series):
