@@ -171,17 +171,24 @@ def make_random_homeomorphism(
     if half_turn_symmetric and n_knots % 2:
         raise ValueError("half_turn_symmetric needs an even n_knots")
     rng = np.random.default_rng(seed)
-    if half_turn_symmetric:
-        half = np.exp(roughness * rng.standard_normal(n_knots // 2))
-        inc = np.concatenate([half, half])
-    else:
-        inc = np.exp(roughness * rng.standard_normal(n_knots))
-    lift = np.concatenate([[0.0], np.cumsum(inc)])
-    lift *= TWO_PI / lift[-1]
-    lift[-1] = TWO_PI
+    lift = _random_lift(rng, n_knots, roughness, half_turn_symmetric)
     omega = cmath.exp(1j * TWO_PI * rng.uniform())
     t = np.linspace(0.0, TWO_PI, n_knots + 1)
     return BoundaryMap(knots_t=t, knots_lift=lift, omega=omega, kind=HOMEOMORPHISM)
+
+
+def _random_lift(rng, n_cells: int, roughness: float, half_turn_symmetric: bool = False) -> np.ndarray:
+    """The lift of :func:`make_random_homeomorphism` at n_cells + 1 knots, from ``rng``'s draws;
+    the proof checks' random profiles are built by it too."""
+    if half_turn_symmetric:
+        half = np.exp(roughness * rng.standard_normal(n_cells // 2))
+        inc = np.concatenate([half, half])
+    else:
+        inc = np.exp(roughness * rng.standard_normal(n_cells))
+    lift = np.concatenate([[0.0], np.cumsum(inc)])
+    lift *= TWO_PI / lift[-1]
+    lift[-1] = TWO_PI
+    return lift
 
 
 def make_step_map(jump_points, values) -> BoundaryMap:

@@ -22,6 +22,7 @@ from .area import KERNEL_DIRECT, KERNEL_FFT, METHODS, _kernel_value
 from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
 from .runner import (
     AREA_COLUMNS,
+    SCHEMA_VERSION,
     SUITES,
     VERIFY_COLUMNS,
     ConfigError,
@@ -78,7 +79,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)}")
     p_verify.add_argument("--seeds", default="0..99", help="seed range for the random corpus, e.g. 0..99")
     p_verify.add_argument("--radii", default="0.25,0.5,0.75,0.9")
-    p_verify.add_argument("--r", type=float, default=None, help="single radius shorthand")
     p_verify.add_argument("--mollify", default=None,
                           help="comma-separated smoothing widths (default 2pi/32,2pi/64,2pi/128)")
     p_verify.add_argument("--family", action="append", default=None,
@@ -99,7 +99,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: str | None):
+def _emit(rows: list[dict], columns, args):
+    """Write the report rows, as CSV with ``columns`` or as JSON lines, to ``--out`` or stdout."""
+    text = format_csv(rows, columns) if args.format == "csv" else format_jsonl(rows)
+    out = args.out
     if out is None:
         sys.stdout.write(text)
         return
@@ -123,14 +126,11 @@ def _cmd_area(args) -> int:
         order=args.order,
         conjugate=args.conjugate,
     )
-    rows = run_area(config)
-    text = format_csv(rows, AREA_COLUMNS) if args.format == "csv" else format_jsonl(rows)
-    _emit(text, args.out)
+    _emit(run_area(config), AREA_COLUMNS, args)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    radii = [args.r] if args.r is not None else _parse_floats(args.radii)
     if args.family and args.suite not in ("convexity", "all"):
         raise ConfigError(f"--family is read only by the convexity suite, not by {args.suite!r}")
     tolerances = {}
@@ -146,15 +146,14 @@ def _cmd_verify(args) -> int:
         tolerances[name] = tol
     config = SweepConfig(
         families=args.family or [],
-        radii=radii,
+        radii=_parse_floats(args.radii),
         seeds=parse_seed_range(args.seeds),
         mollify=_parse_floats(args.mollify) if args.mollify else [TWO_PI / 32, TWO_PI / 64, TWO_PI / 128],
         order=args.order,
         tolerances=tolerances,
     )
     rows = run_suite(args.suite, config)
-    text = format_csv(rows, VERIFY_COLUMNS) if args.format == "csv" else format_jsonl(rows)
-    _emit(text, args.out)
+    _emit(rows, VERIFY_COLUMNS, args)
     counts = {"true": 0, "false": 0, "inconclusive": 0}
     for row in rows:
         counts[row["passed"]] += 1
@@ -201,7 +200,7 @@ def _cmd_bench(args) -> int:
                 failures += 1
             rows.append(
                 {
-                    "schema": 1,
+                    "schema": SCHEMA_VERSION,
                     "map_id": map_id,
                     "r": args.r,
                     "method": name,
@@ -211,8 +210,7 @@ def _cmd_bench(args) -> int:
                     "wall_time_ms": round(seconds * 1e3, 3),
                 }
             )
-    text = format_csv(rows, BENCH_COLUMNS) if args.format == "csv" else format_jsonl(rows)
-    _emit(text, args.out)
+    _emit(rows, BENCH_COLUMNS, args)
     return 1 if failures else 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pair_sums
 from .area import area_kernel
-from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, eval_lift
+from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, _random_lift, eval_lift
 from .poisson import _check_radius
 from .verify import VerdictRecord, make_verdict
 
@@ -101,12 +101,7 @@ def random_profile(seed: int, n_cells: int = 512, roughness: float = 1.0) -> Mon
 
 
 def _random_values(seed: int, n_cells: int, roughness: float) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    inc = np.exp(roughness * rng.standard_normal(n_cells))
-    vals = np.concatenate([[0.0], np.cumsum(inc)])
-    vals *= TWO_PI / vals[-1]
-    vals[-1] = TWO_PI
-    return vals
+    return _random_lift(np.random.default_rng(seed), n_cells, roughness)
 
 
 def tangent_gap(alpha, beta):

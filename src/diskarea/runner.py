@@ -1,10 +1,11 @@
 """Sweep configuration, family-spec parsing, suite execution, report emission.
 
 Family specs are small colon-separated strings (``random:0..99:0.5``,
-``mobius:0.3``).  Each suite yields its checks in order and :func:`_suite`
-turns them into rows: it times each row from the previous one and sorts the
-rows in a fixed order, so identical configs produce byte-identical reports
-apart from the wall-time column, and a suite's rows add up to its wall time.
+``mobius:0.3``).  ``run_area`` and each suite make their rows in order, and
+:func:`_timed_rows` turns them into the report: it times each row from the
+previous one and sorts the rows in a fixed order, so identical configs
+produce byte-identical reports apart from the wall-time column, and a run's
+rows add up to its wall time.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +59,7 @@ VERIFY_COLUMNS = (
 )
 
 MAX_RADIUS = 0.97  # kernel concentration cap for sweep radii
+PROOF_PROFILES, PROOF_CHAINS = 500, 200  # the proof suite's seeded profiles, independent of the seeds
 
 
 class ConfigError(ValueError):
@@ -168,40 +172,45 @@ def _conjugate_source(source):
     return FourierCoeffs(np.conj(source.coeffs), source.order)
 
 
-def _area_one(inst: FamilyInstance, r: float, method: str, config: SweepConfig):
-    t0 = time.perf_counter()
-    est = estimate_area(inst, r, method, order=config.order, resolution=config.resolution)
-    ms = (time.perf_counter() - t0) * 1e3
-    return {
-        "schema": SCHEMA_VERSION,
-        "map_id": inst.map_id,
-        "r": r,
-        "method": method,
-        "value": est.value,
-        "error_indicator": est.error_indicator,
-        "wall_time_ms": round(ms, 3),
-    }
+def _timed_rows(rows, order) -> list[dict]:
+    """The rows of a generator, stamped with the schema and their wall time, sorted by ``order``.
+
+    Each row is timed from the previous one (the first from the call), so set-up such as a
+    map's generation lands on the first row made after it, and the rows add up to the run's time.
+    """
+    out = []
+    last = time.perf_counter()
+    for row in rows:
+        now = time.perf_counter()
+        row.update(schema=SCHEMA_VERSION, wall_time_ms=round((now - last) * 1e3, 3))
+        out.append(row)
+        last = now
+    out.sort(key=order)
+    return out
 
 
 def run_area(config: SweepConfig) -> list[dict]:
+    """One row per map, radius and method, sorted by (map_id, r, method)."""
+    return _timed_rows(_area_rows(config), operator.itemgetter("map_id", "r", "method"))
+
+
+def _area_rows(config: SweepConfig):
     config.validate_radii()
     if not config.methods:
         raise ConfigError("at least one area method is required")
     for m in config.methods:
         if m not in METHODS:
             raise ConfigError(f"unknown area method {m!r} (choose from {sorted(METHODS)})")
-    instances = expand_families(config)
-    rows = [
-        _area_one(inst, r, meth, config)
-        for inst in instances
-        for r in config.radii
-        for meth in config.methods
-    ]
-    rows.sort(key=lambda row: (row["map_id"], row["r"], row["method"]))
-    return rows
+    # every spec is parsed before the first estimate, so a bad one costs no work
+    for inst in expand_families(config):
+        for r in config.radii:
+            for method in config.methods:
+                est = estimate_area(inst, r, method, order=config.order, resolution=config.resolution)
+                yield {"map_id": inst.map_id, "r": r, "method": method,
+                       "value": est.value, "error_indicator": est.error_indicator}
 
 
-def _record_row(rec: VerdictRecord, family: str, params: str, wall_ms: float) -> dict:
+def _record_row(rec: VerdictRecord, family: str, params: str) -> dict:
     """The record's fields, with ``passed`` as true/false/inconclusive, plus the labels.
 
     The fields are all scalars, so a shallow copy serves; ``dataclasses.asdict``
@@ -210,27 +219,18 @@ def _record_row(rec: VerdictRecord, family: str, params: str, wall_ms: float) ->
     row = dict(vars(rec))
     inconclusive = row.pop("inconclusive")
     row["passed"] = "inconclusive" if inconclusive else ("true" if rec.passed else "false")
-    row.update(schema=SCHEMA_VERSION, family=family, params=params, wall_time_ms=round(wall_ms, 3))
+    row.update(family=family, params=params)
     return row
 
 
 def _suite(checks):
-    """A suite from a generator of (record, family, params): same arguments,
-    sorted report rows.  Each row is timed from the previous one (the first
-    from the call), so a map's shared set-up lands on its first row and the
-    rows add up to the suite's wall time.
-    """
+    """A suite from a generator of (record, family, params): the same config
+    argument, the timed report rows sorted by (check_name, map_id, r)."""
 
     @functools.wraps(checks)
-    def suite(config: SweepConfig, *args, **kwargs) -> list[dict]:
-        rows = []
-        last = time.perf_counter()
-        for rec, family, params in checks(config, *args, **kwargs):
-            now = time.perf_counter()
-            rows.append(_record_row(rec, family, params, (now - last) * 1e3))
-            last = now
-        rows.sort(key=lambda row: (row["check_name"], row["map_id"], row["r"]))
-        return rows
+    def suite(config: SweepConfig) -> list[dict]:
+        rows = itertools.starmap(_record_row, checks(config))
+        return _timed_rows(rows, operator.itemgetter("check_name", "map_id", "r"))
 
     return suite
 
@@ -252,11 +252,11 @@ def run_contraction_suite(config: SweepConfig):
     config.validate_radii()
     if not config.mollify:
         raise ConfigError("at least one smoothing width is required")
-    scale = config.tolerance("area-contraction")
+    tol = config.tolerance("area-contraction")
     for inst in _contraction_tasks(config):
         coeffs = fourier_from_boundary(inst.source, order=config.order)
         for r in config.radii:
-            rec = verify.check_area_contraction(coeffs, r, tol=scale * (math.pi * r * r), map_id=inst.map_id)
+            rec = verify.check_area_contraction(coeffs, r, tol=tol, map_id=inst.map_id)
             yield rec, inst.family, inst.params
 
 
@@ -382,12 +382,12 @@ def run_convexity_suite(config: SweepConfig):
 
 
 @_suite
-def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 200):
+def run_proof_suite(config: SweepConfig):
     """Checks of the proof's reduction: sign structure, identities, profile integrals.
 
     The map checks use the first five seeds of ``config.seeds``.  The profile
     checks (:func:`proof_checks.check_profile_family`) use the seeded profiles
-    0..n_profiles-1 and 0..n_chains-1, independent of ``config.seeds``
+    0..PROOF_PROFILES-1 and 0..PROOF_CHAINS-1, independent of ``config.seeds``
     (``--seeds``), so their three rows are the same for every seed range.
     """
     config.validate_radii()
@@ -404,10 +404,10 @@ def run_proof_suite(config: SweepConfig, n_profiles: int = 500, n_chains: int = 
             rec = proof_checks.check_gap_double_integral(bmap, r, 512, map_id=f"random:{seed}:0.5")
             yield rec, "random", f"seed={seed}"
 
-    profile, chain, reflection = proof_checks.check_profile_family(radii, n_profiles, n_chains)
-    yield profile, "profile", f"count={n_profiles}"
-    yield chain, "profile", f"count={n_chains}"
-    yield reflection, "profile", f"count={n_chains}"
+    profile, chain, reflection = proof_checks.check_profile_family(radii, PROOF_PROFILES, PROOF_CHAINS)
+    yield profile, "profile", f"count={PROOF_PROFILES}"
+    yield chain, "profile", f"count={PROOF_CHAINS}"
+    yield reflection, "profile", f"count={PROOF_CHAINS}"
 
     margin = proof_checks.strict_interior_positivity(256, radii=radii)
     rec = verify.make_verdict("strict-interior-positivity", "grid:256", max(radii),

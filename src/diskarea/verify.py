@@ -100,23 +100,21 @@ def check_area_contraction(
     source: BoundaryMap | FourierCoeffs,
     r: float,
     method: str = GREEN_SPECTRAL,
-    tol: float | None = None,
+    tol: float = TOLERANCES["area-contraction"],
     map_id: str = "",
     order: int = 512,
 ) -> VerdictRecord:
     """Image area of the concentric disk must not exceed pi r^2 (bijective maps).
 
     ``source`` is a boundary map, which must be a homeomorphism, or its
-    Fourier coefficients.  ``tol`` None means the tabled tolerance relative
-    to pi r^2.
+    Fourier coefficients.  ``tol`` is relative to pi r^2; the record holds
+    the absolute tolerance ``tol * pi r^2``.
     """
     if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
         raise HypothesisViolationError("area contraction is asserted for homeomorphisms only")
     est = estimate_area(source, r, method, order=order)  # every estimator checks r
     disk = math.pi * r * r
-    if tol is None:
-        tol = TOLERANCES["area-contraction"] * disk
-    return make_verdict("area-contraction", map_id, r, est.value, disk, tol, est.resolution,
+    return make_verdict("area-contraction", map_id, r, est.value, disk, tol * disk, est.resolution,
                         method=est.method, error_indicator=est.error_indicator)
 
 

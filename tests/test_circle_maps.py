@@ -164,6 +164,14 @@ class TestRandomHomeomorphism:
         coeffs = da.fourier_from_boundary(m, order=128)
         assert abs(coeffs.coeff(0)) < 1e-12
 
+    def test_lift_is_the_proof_profile_draw(self):
+        # one helper builds both lifts from the same draws, in the same order
+        from diskarea import proof_checks
+
+        for seed in range(4):
+            lift = da.make_random_homeomorphism(seed, 256, 0.5).knots_lift
+            assert proof_checks._random_values(seed, 256, 0.5).tobytes() == lift.tobytes()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             da.make_random_homeomorphism(0, n_knots=2)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import diskarea.cli as cli
+from diskarea import runner
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,7 +139,7 @@ class TestAreaCommand:
 
 class TestVerifyCommand:
     def test_proof_suite_exit_zero(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "proof", "--r", "0.6")
+        code, out, err = run_cli(capsys, "verify", "--suite", "proof", "--radii", "0.6")
         assert code == 0
         assert "failed=0" in err
 
@@ -233,6 +234,16 @@ class TestVerifyCommand:
         assert "empty seed range" in err
         assert out == ""
 
+    def test_single_radius_flag_removed(self, capsys):
+        # --r was a one-radius alias that silently won over --radii; a prefix
+        # of --radii still reads as it
+        (verify,) = [action.choices["verify"] for action in cli.build_parser()._subparsers._group_actions]
+        assert "--r" not in verify._option_string_actions
+        code, out, _ = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "0", "--r", "0.5",
+                               "--radii", "0.1,0.2")
+        assert code == 0
+        assert {row["r"] for row in parse_csv(out)} == {"0.1", "0.2"}
+
     def test_workers_flag_removed(self, capsys):
         for command in (("area", "--family", "identity", "--r", "0.5"), ("verify", "--suite", "boundary")):
             code, _, _ = run_cli(capsys, *command, "--workers", "2")
@@ -292,6 +303,7 @@ class TestBenchCommand:
         assert code == 0
         bmap = da.mollify_map(da.make_random_homeomorphism(7, roughness=0.5))
         rows = [json.loads(line) for line in out.splitlines()]
+        assert {row["schema"] for row in rows} == {runner.SCHEMA_VERSION}
         direct = [row for row in rows if row["method"] == "kernel-direct"]
         assert [row["resolution"] for row in direct] == [64, 300]
         for row in direct:

@@ -117,6 +117,21 @@ class TestRunArea:
         v2 = runner.run_area(conj)[0]["value"]
         assert abs(v1 - v2) < 1e-9  # mirror image has the same area
 
+    def test_rows_and_their_times(self):
+        # as in the suites, each row is timed from the previous one and the
+        # first from the call, so the family expansion lands on the first
+        # row and the rows add up to at most the run's elapsed time
+        config = runner.SweepConfig(families=["identity", "random:0..1:0.5", "shear:0.3"],
+                                    radii=[0.25, 0.5, 0.9], methods=["green-spectral", "jacobian"], order=64)
+        for _ in range(2):
+            t0 = time.perf_counter()
+            rows = runner.run_area(config)
+            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            assert len(rows) == 4 * 3 * 2
+            times = [row["wall_time_ms"] for row in rows]
+            assert sum(times) <= elapsed_ms + 0.0005 * len(rows) + 1e-9
+            assert sum(times) > 0.0
+
     def test_unknown_method(self):
         config = runner.SweepConfig(families=["identity"], radii=[0.5], methods=["fancy"])
         with pytest.raises(runner.ConfigError):
@@ -198,23 +213,22 @@ class TestSuites:
             runner.run_convexity_suite(runner.SweepConfig(families=["identity"], radii=[0.5]))
 
     @pytest.mark.parametrize(
-        "suite, kwargs, counts",
+        "suite, counts",
         [
-            ("contraction", {}, {"area-contraction": 10}),
-            ("equality", {}, {"equality-rotation": 20, "equality-separation": 10}),
-            ("schwarz", {}, {"schwarz-bound": 6, "schwarz-sharpness": 1}),
-            ("boundary", {}, {"boundary-flux": 5}),
-            ("convexity", {}, {"convexity-fails-for-shear": 5, "holomorphic-convexity": 20}),
+            ("contraction", {"area-contraction": 10}),
+            ("equality", {"equality-rotation": 20, "equality-separation": 10}),
+            ("schwarz", {"schwarz-bound": 6, "schwarz-sharpness": 1}),
+            ("boundary", {"boundary-flux": 5}),
+            ("convexity", {"convexity-fails-for-shear": 5, "holomorphic-convexity": 20}),
             (
                 "proof",
-                {"n_profiles": 20, "n_chains": 10},
                 {"cos-identity": 10, "gap-double-integral": 10, "mirror-pair-identity": 5,
                  "profile-gap-integral": 1, "reduction-chain": 1, "reflection-invariance": 1,
                  "strict-interior-positivity": 1, "tangent-gap-signs": 1},
             ),
         ],
     )
-    def test_rows_and_their_times(self, suite, kwargs, counts):
+    def test_rows_and_their_times(self, suite, counts):
         # each row is timed from the previous one, so no work is counted
         # twice: with five radii per map, a per-map clock would count the
         # Fourier extraction five times.  The second call is warm, so no
@@ -222,7 +236,7 @@ class TestSuites:
         config = runner.SweepConfig(radii=[0.1, 0.25, 0.5, 0.75, 0.9], seeds=[0, 1], mollify=[TWO_PI / 64])
         for _ in range(2):
             t0 = time.perf_counter()
-            rows = runner._SUITE_RUNNERS[suite](config, **kwargs)
+            rows = runner._SUITE_RUNNERS[suite](config)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             assert collections.Counter(row["check_name"] for row in rows) == counts
             times = [row["wall_time_ms"] for row in rows]

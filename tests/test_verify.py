@@ -49,6 +49,8 @@ class TestAreaContraction:
     def test_default_tolerance_is_tabled(self, mobius_half):
         rec = da.check_area_contraction(mobius_half, 0.5)
         assert rec.tolerance == da.verify.TOLERANCES["area-contraction"] * (math.pi * 0.25)
+        # a given tolerance is relative to the disk area too
+        assert da.check_area_contraction(mobius_half, 0.5, tol=1e-3).tolerance == 1e-3 * (math.pi * 0.25)
 
     def test_verdict_invariants(self, mobius_half):
         rec = da.check_area_contraction(mobius_half, 0.5)
