@@ -216,7 +216,7 @@ def area_jacobian_grid(
     source: BoundaryMap | FourierCoeffs,
     r: float,
     n_rho: int = 1024,
-    n_theta: int = 512,
+    n_theta: int | None = None,
     order: int = 256,
 ) -> AreaEstimate:
     """Midpoint rule on a polar grid of int det Df rho drho dtheta.
@@ -227,13 +227,23 @@ def area_jacobian_grid(
     The error indicator is the change from a grid of half as many rings (and
     half as many angles, at least 8), so the grid needs n_rho >= 2 and
     n_theta >= 1.
+
+    Without ``n_theta`` the grid takes min(512, max(16, 2 N)) angles for a
+    series of order N.  h' and g' are polynomials of degree below N, so det
+    Df = |h'|^2 - |g'|^2 on a ring is a trigonometric polynomial of degree
+    below N, which any N equally spaced angles integrate exactly.  Up to
+    order 256 both grids, the half grid's max(8, n_theta // 2) angles
+    included, are then exact in angle, and the error indicator measures only
+    the radial midpoint error.  Orders of 256 and more keep 512 angles.
     """
     r = _check_radius(r, allow_zero=False)
-    if n_rho < 2 or n_theta < 1:
+    if n_rho < 2 or (n_theta is not None and n_theta < 1):
         raise ValueError("Jacobian grid needs n_rho >= 2 and n_theta >= 1")
     if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
         raise HypothesisViolationError("Jacobian-grid area requires a homeomorphism boundary map")
     coeffs = _coeffs_for(source, order)
+    if n_theta is None:
+        n_theta = min(512, max(16, 2 * coeffs.order))
     full = _jacobian_value(coeffs, r, n_rho, n_theta)
     half = _jacobian_value(coeffs, r, n_rho // 2, max(8, n_theta // 2))
     return AreaEstimate(full, JACOBIAN_GRID, n_rho, abs(full - half))

@@ -73,9 +73,19 @@ class BoundaryMap:
         # normalize: pin the period endpoints and the starting branch
         t[0] = 0.0
         t[-1] = TWO_PI
-        shift = TWO_PI * math.floor(lift[0] / TWO_PI)
-        if shift != 0.0:
-            lift = lift - shift
+        # the whole-period shift can leave lift[0] just below 0 or round it
+        # onto 2 pi (a lift that starts at -1e-17 shifts to 2 pi; one at
+        # -5e-324 has a floor of 0), so one step up and then one step down put
+        # it in [0, 2 pi): a normalized map is then left as it is, and
+        # from_json(to_json(m)) gives back m's bits.  The rise check above
+        # rejects lifts large enough for the shift to miss by a whole period.
+        k = math.floor(lift[0] / TWO_PI)
+        if k != 0:
+            lift = lift - TWO_PI * k
+        if lift[0] < 0.0:
+            lift = lift + TWO_PI
+        if lift[0] >= TWO_PI:
+            lift = lift - TWO_PI
         lift[-1] = lift[0] + TWO_PI
         t.setflags(write=False)
         lift.setflags(write=False)

@@ -172,10 +172,11 @@ def _series(c, n0, rho, theta):
       x series x angles), gathered from the T roots of unity by the index
       (n k) mod T, is built once, and the real powers multiply its float
       view in one real matrix product, half the flops of the complex one.
-      On the Jacobian grid (1024 radii, 512 angles, 2 x 64 terms) one call
-      took about 4.5 instead of 7.5 ms (2 vCPUs, numpy 2.4.6 with a 2-thread
-      OpenBLAS); a zero-padded FFT of the bins took about twice as long as
-      the complex product on that shape, and BLAS threads pay off there.
+      On the Jacobian grid of an order-64 series (1024 radii, 128 angles,
+      2 x 64 terms) one call took about 1.6 instead of 2.5 ms (best of 41,
+      2 vCPUs, numpy 2.4.6 with a 2-thread OpenBLAS; 1.8 ms with one BLAS
+      thread); the weights-first fold and FFT took about 6.3 ms on that
+      shape, two and a half times the complex product.
     """
     rho = np.asarray(rho, dtype=float)
     if isinstance(theta, UniformGrid):

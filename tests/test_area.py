@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diskarea as da
 from diskarea import area, pair_sums, runner
@@ -213,36 +215,103 @@ class TestJacobianGrid:
         est = da.area_jacobian_grid(da.family_coeffs("mobius", 0.3), 0.5, 2, 1)
         assert est.resolution == 2 and math.isfinite(est.value) and math.isfinite(est.error_indicator)
 
-    def test_default_grid_peak_memory(self):
-        # h' and g' on 1024 x 512 points are 16 MiB of series output; the ring
-        # sums must add no float array of that shape (4 MiB each)
-        coeffs = da.family_coeffs("mobius", 0.3)
+    @staticmethod
+    def traced_peak(coeffs, **grid):
         da.area_jacobian_grid(coeffs, 0.9, 8, 8)
         tracemalloc.start()
         try:
-            da.area_jacobian_grid(coeffs, 0.9)
-            peak = tracemalloc.get_traced_memory()[1]
+            da.area_jacobian_grid(coeffs, 0.9, **grid)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 22 * 2**20
+
+    def test_default_grid_peak_memory(self):
+        # the 512-angle grid that series of order 256 and more take: h' and g'
+        # on 1024 x 512 points are 16 MiB of series output; the ring sums must
+        # add no float array of that shape (4 MiB each)
+        assert self.traced_peak(da.family_coeffs("mobius", 0.3), n_theta=512) <= 22 * 2**20
 
     def test_default_grid_builds_no_weights_array(self):
         # more rings than angles: the powers multiply a 64 x 2 x 512 weighted
         # table, and no 2 x 1024 x 64 complex array of weights is built
-        coeffs = da.family_coeffs("mobius", 0.3)
-        da.area_jacobian_grid(coeffs, 0.9, 8, 8)
-        tracemalloc.start()
-        try:
-            da.area_jacobian_grid(coeffs, 0.9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * 2**20
+        assert self.traced_peak(da.family_coeffs("mobius", 0.3), n_theta=512) <= 20 * 2**20
+
+    def test_derived_grid_peak_memory(self):
+        # the order-64 series takes 128 angles: h' and g' on 1024 x 128 points
+        # are 4 MiB of series output (about 5.1 MiB traced in all)
+        assert self.traced_peak(da.family_coeffs("mobius", 0.3)) <= 6 * 2**20
 
     def test_random_matches_green(self, mollified_map):
         jac = da.area_jacobian_grid(mollified_map, 0.5, 512, 256)
         green = da.area_green_quadrature(mollified_map, 0.5, 1024)
         assert abs(jac.value - green.value) < 1e-5
+
+
+# the series of the derived-grid tests: closed forms, and a mollified and a
+# rough map extracted at several orders
+DERIVED_GRID_SERIES = [("identity", None), ("shear", 0.3), ("mobius", 0.3 + 0.2j)] + [
+    (fixture, order) for fixture in ("mollified_map", "random_map") for order in (8, 64, 100, 255)
+]
+
+
+def assert_grids_agree(coeffs, r, rel=1e-14):
+    got = da.area_jacobian_grid(coeffs, r)
+    want = da.area_jacobian_grid(coeffs, r, n_theta=512)
+    # an area below the smallest normal double carries no relative precision
+    assert abs(got.value - want.value) <= rel * abs(want.value) + np.finfo(float).tiny
+    assert abs(got.error_indicator - want.error_indicator) <= 1e-13
+    assert got.resolution == want.resolution
+
+
+class TestJacobianAngles:
+    """The angles the Jacobian grid derives from the series order when no n_theta is given."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.9, 0.97])
+    @pytest.mark.parametrize("source, arg", DERIVED_GRID_SERIES)
+    def test_derived_grid_matches_512_angles(self, request, source, arg, r):
+        # det Df is exact in angle on both grids, so only rounding moves
+        if source in area.CLOSED_FORM_FAMILIES:
+            coeffs = da.family_coeffs(source, arg)
+        else:
+            coeffs = da.fourier_from_boundary(request.getfixturevalue(source), order=arg)
+        assert_grids_agree(coeffs, r)
+
+    @pytest.mark.parametrize("order", [256, 512])
+    def test_high_orders_keep_512_angles_bit_for_bit(self, mollified_map, order):
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        for r in (0.5, 0.9):
+            assert da.area_jacobian_grid(coeffs, r) == da.area_jacobian_grid(coeffs, r, n_theta=512)
+
+    @pytest.mark.parametrize("order", [1, 5, 8, 64, 100, 255, 256, 300, 512])
+    def test_grid_angles(self, mollified_map, monkeypatch, order):
+        calls = []
+        wirtinger = area.wirtinger_on_circle
+
+        def spy(coeffs, rho, thetas):
+            calls.append((rho.size, thetas.n_theta))
+            return wirtinger(coeffs, rho, thetas)
+
+        monkeypatch.setattr(area, "wirtinger_on_circle", spy)
+        da.area_jacobian_grid(da.fourier_from_boundary(mollified_map, order=order), 0.9)
+        (full_rho, full), (half_rho, half) = calls
+        assert (full_rho, half_rho) == (1024, 512)
+        assert full == min(512, max(16, 2 * order)) and half == max(8, full // 2)
+        # up to order 256 the half grid too is exact in angle
+        assert half >= min(order, 256)
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.integers(1, 300), r=st.floats(0.0, 0.97, exclude_min=True))
+    @example(order=1, r=0.97)
+    @example(order=255, r=0.97)
+    @example(order=300, r=1e-3)
+    @example(order=7, r=1e-20)  # the 512-angle ring sums are 1.25e-14 off here
+    @example(order=241, r=1e-6)  # the 482-angle ring sums are 1.0e-14 off here
+    @example(order=18, r=7.058157129820129e-161)  # subnormal areas, 5e-324 apart
+    def test_derived_grid_matches_512_angles_property(self, mollified_map, order, r):
+        # both grids are exact in angle, so they differ only by the rounding
+        # of their ring sums of up to 1024 squares, which reaches 1.3e-14 on
+        # near-constant rings (against ring sums by math.fsum)
+        assert_grids_agree(da.fourier_from_boundary(mollified_map, order=order), r, rel=1e-13)
 
 
 class TestKernelMethods:

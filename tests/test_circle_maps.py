@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diskarea as da
 
@@ -240,7 +242,40 @@ class TestConjugate:
         assert abs(a1.value - a2.value) < 1e-9
 
 
+@st.composite
+def boundary_maps(draw):
+    """A seeded random homeomorphism or a step map, conjugated or not."""
+    if draw(st.booleans()):
+        half_turn_symmetric = draw(st.booleans())
+        n_knots = draw(st.integers(2, 256)) * 2 if half_turn_symmetric else draw(st.integers(4, 512))
+        bmap = da.make_random_homeomorphism(
+            draw(st.integers(0, 2**32 - 1)),
+            n_knots=n_knots,
+            roughness=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            half_turn_symmetric=half_turn_symmetric,
+        )
+    else:
+        # jumps on a fine grid: conjugate_map cannot reflect knots that lie
+        # closer together than the rounding of 2 pi - t
+        cells = draw(st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=12, unique=True))
+        jumps = [k * (TWO_PI / 2**16) for k in sorted(cells)]
+        fractions = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(jumps), max_size=len(jumps))))
+        start = draw(st.floats(-TWO_PI, TWO_PI))
+        span = draw(st.floats(0.0, TWO_PI))
+        bmap = da.make_step_map(jumps, [start + span * f for f in fractions])
+    return da.conjugate_map(bmap) if draw(st.booleans()) else bmap
+
+
 class TestSerialization:
+    @settings(max_examples=50, deadline=None)
+    @given(boundary_maps())
+    @example(da.make_step_map([0.0], [-5e-324]))
+    @example(da.conjugate_map(da.make_step_map([0.0], [-5e-324])))
+    def test_round_trip_bit_exact_property(self, bmap):
+        back = da.from_json(da.to_json(bmap))
+        assert back.kind == bmap.kind
+        assert knot_digest(back) == knot_digest(bmap)
+
     def test_round_trip_bit_exact(self, random_map, step_two_jump, mobius_half):
         for m in (random_map, step_two_jump, mobius_half, da.make_rotation(1.0)):
             text = da.to_json(m)
@@ -249,6 +284,23 @@ class TestSerialization:
             assert np.array_equal(back.knots_lift, m.knots_lift)
             assert back.omega == m.omega
             assert back.kind == m.kind
+
+    @pytest.mark.parametrize("lift0", [-1e-17, -5e-324, -1.5e-323])
+    @pytest.mark.parametrize("kind", [da.HOMEOMORPHISM, da.NONDECREASING_STEP])
+    def test_lift_just_below_zero_normalizes_into_the_period(self, kind, lift0):
+        # one shift by 2 pi would round -1e-17 onto 2 pi, and from_json would
+        # then shift the map a second time; a subnormal has a floor of 0, so
+        # a whole-period shift alone never moves it
+        doc = {"kind": kind, "omega_re": 1.0, "omega_im": 0.0, "knots": [[0.0, lift0], [TWO_PI, lift0 + TWO_PI]]}
+        maps = [
+            da.BoundaryMap([0.0, TWO_PI], [lift0, lift0 + TWO_PI], kind=kind),
+            da.from_json(json.dumps(doc)),
+        ]
+        if kind == da.NONDECREASING_STEP:
+            maps.append(da.make_step_map([0.0], [lift0]))
+        for bmap in maps:
+            assert 0.0 <= bmap.knots_lift[0] < TWO_PI
+            assert knot_digest(da.from_json(da.to_json(bmap))) == knot_digest(bmap)
 
     def test_schema_keys(self, random_map):
         doc = json.loads(da.to_json(random_map))
