@@ -126,24 +126,32 @@ def spectral_area_sum(ns, cs, r: float) -> float:
     return math.pi * float(np.sum(_spectral_terms(ns, cs, r)))
 
 
-def area_green_spectral(source: BoundaryMap | FourierCoeffs, r: float, order: int = 256) -> AreaEstimate:
-    """:func:`spectral_area_sum` of the series; negative indices count negatively.
+def _full_and_half_sums(coeffs: FourierCoeffs, terms) -> tuple[float, float]:
+    """Sum of ``terms``, one per index of ``coeffs``, and its sum truncated at half the order.
 
-    Boundary input is extracted at ``order`` first.  The error indicator is
-    the change from the sum truncated at half the order.  A series with
-    exact zeros is a closed form listed by its nonzero terms, not a
-    truncation, so its half sum keeps every nonzero term (the shear z +
-    c conj(z)^2 has order 2, and halving it would drop c_{-2}).
+    The difference of the two is the error indicator of a coefficient sum.
+    A series with exact zeros is a closed form listed by its nonzero terms,
+    not a truncation, so its half sum keeps every nonzero term (the shear
+    z + c conj(z)^2 has order 2, and halving it would drop c_{-2}).
     """
-    r = _check_radius(r, allow_zero=False)
-    coeffs = _coeffs_for(source, order)
     ns, cs = coeffs.indices, coeffs.coeffs
     half_order = max(1, coeffs.order // 2)
     if not np.all(cs):
         half_order = max(half_order, int(np.max(np.abs(ns[cs != 0]), initial=0)))
-    terms = _spectral_terms(ns, cs, r)
-    full = math.pi * float(np.sum(terms))
-    half = math.pi * float(np.sum(terms[coeffs.order - half_order : coeffs.order + half_order + 1]))
+    return float(np.sum(terms)), float(np.sum(terms[coeffs.order - half_order : coeffs.order + half_order + 1]))
+
+
+def area_green_spectral(source: BoundaryMap | FourierCoeffs, r: float, order: int = 256) -> AreaEstimate:
+    """:func:`spectral_area_sum` of the series; negative indices count negatively.
+
+    Boundary input is extracted at ``order`` first.  The error indicator is
+    the change from the sum truncated at half the order, by the rule of
+    :func:`_full_and_half_sums`.
+    """
+    r = _check_radius(r, allow_zero=False)
+    coeffs = _coeffs_for(source, order)
+    full, half = _full_and_half_sums(coeffs, _spectral_terms(coeffs.indices, coeffs.coeffs, r))
+    full, half = math.pi * full, math.pi * half
     return AreaEstimate(full, GREEN_SPECTRAL, coeffs.order, abs(full - half))
 
 

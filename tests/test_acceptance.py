@@ -186,14 +186,18 @@ def test_c08_boundary_flux_lower_bound():
         ("rotation:1", da.family_coeffs("rotation", 1.0)),
         ("rotation:pi/2", da.family_coeffs("rotation", math.pi / 2)),
     ] + [(f"mobius:{a}", da.family_coeffs("mobius", a)) for a in (0.2, 0.4, 0.6)]
-    worst = math.inf
+    worst, worst_closed = math.inf, 0.0
     for map_id, coeffs in sources:
         rec = da.boundary_jacobian_integral(coeffs, tol=1e-3, map_id=map_id)
         assert rec.passed and not rec.inconclusive, map_id
         assert rec.lhs >= TWO_PI - 1e-3
+        a = abs(coeffs.coeff(0))  # -a for the Mobius family, 0 for the rest
+        want = TWO_PI * (1 + a * a) / (1 - a * a)
+        assert abs(rec.lhs - want) <= 1e-12 * want, map_id
         worst = min(worst, rec.lhs - TWO_PI)
-    report(8, f"extrapolated boundary flux >= 2*pi - 1e-3 on the closed-form corpus "
-              f"(worst margin {worst:.2e})")
+        worst_closed = max(worst_closed, abs(rec.lhs - want) / want)
+    report(8, f"boundary flux >= 2*pi - 1e-3 on the closed-form corpus "
+              f"(worst margin {worst:.2e}), equal to 2*pi (1 + a^2) / (1 - a^2) to {worst_closed:.1e} relative")
 
 
 def test_c09_schwarz_bound_and_sharpness():

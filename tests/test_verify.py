@@ -113,48 +113,51 @@ class TestSchwarzBound:
 
 
 class TestBoundaryFlux:
-    def test_identity_is_two_pi_at_every_level(self):
-        coeffs = da.family_coeffs("identity")
-        for rho in (0.9, 0.96, 0.99):
-            assert abs(da.verify.boundary_flux_integral(coeffs, rho) - TWO_PI) < 1e-12
+    def test_identity_is_two_pi_at_every_order(self):
+        # zero padding changes the order, not the rho = 1 sum
+        for order in (1, 64, 256):
+            rec = da.boundary_jacobian_integral(da.FourierCoeffs.from_dict({order: 0.0, 1: 1.0}))
+            assert rec.lhs == TWO_PI and rec.error_indicator == 0.0
+            assert rec.resolution == order
 
     def test_boundary_map_is_extracted_at_order_256(self):
         bmap = da.mollify_map(da.make_random_homeomorphism(5))
-        rho = np.array([0.9, 0.99])
-        from_map = da.verify.boundary_flux_integral(bmap, rho)
-        from_coeffs = da.verify.boundary_flux_integral(da.fourier_from_boundary(bmap, order=256), rho)
-        assert np.array_equal(from_map, from_coeffs)
-        assert da.boundary_jacobian_integral(bmap).resolution == 1024
-
-    def test_three_circles_build_no_terms_by_angles_table(self, mollified_map):
-        import tracemalloc
-
-        coeffs = da.fourier_from_boundary(mollified_map, order=256)
-        rho = 1.0 - np.array(da.verify._FLUX_EPS)
-        tracemalloc.start()
-        try:
-            da.verify.boundary_flux_integral(coeffs, rho)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a 256 terms x 1024 angles complex table alone would be 4 MB
-        assert peak < 1e6
+        from_map = da.boundary_jacobian_integral(bmap)
+        assert from_map == da.boundary_jacobian_integral(da.fourier_from_boundary(bmap, order=256))
+        assert from_map.resolution == 256
 
     def test_rotation_exact(self):
-        rec = da.boundary_jacobian_integral(da.family_coeffs("rotation", 1.0))
-        assert rec.passed
-        assert abs(rec.lhs - TWO_PI) < 1e-10
+        for phi in (1.0, math.pi / 2):
+            rec = da.boundary_jacobian_integral(da.family_coeffs("rotation", phi))
+            assert rec.passed
+            assert rec.lhs == TWO_PI
 
-    def test_mobius_family_meets_lower_bound(self):
-        for a in (0.2, 0.4, 0.6):
-            rec = da.boundary_jacobian_integral(da.family_coeffs("mobius", a))
-            assert rec.passed and not rec.inconclusive
-            assert rec.lhs >= TWO_PI - 1e-3
+    @pytest.mark.parametrize("a", [0.2, 0.4, 0.6, 0.3 + 0.4j])
+    def test_mobius_family_meets_lower_bound(self, a):
+        # the boundary flux of the disk automorphism is 2 pi (1 + |a|^2) / (1 - |a|^2)
+        rec = da.boundary_jacobian_integral(da.family_coeffs("mobius", a))
+        assert rec.passed and not rec.inconclusive
+        want = TWO_PI * (1 + abs(a) ** 2) / (1 - abs(a) ** 2)
+        assert abs(rec.lhs - want) <= 1e-12 * want
+        assert rec.resolution == 64 and rec.error_indicator == 0.0
+
+    def test_shear_weights_negative_indices_negatively(self):
+        # z + c conj(z)^2: 2 pi (1 - 4 |c|^2), where an unsigned sum would give 2 pi (1 + 4 |c|^2)
+        rec = da.boundary_jacobian_integral(da.family_coeffs("shear", 0.3))
+        assert abs(rec.lhs - TWO_PI * (1 - 4 * 0.09)) < 1e-12
 
     def test_mollified_random(self):
         bmap = da.mollify_map(da.make_random_homeomorphism(3))
         rec = da.boundary_jacobian_integral(bmap)
         assert rec.passed and not rec.inconclusive
+
+    def test_indicator_falls_with_order_on_rough_map(self):
+        # the unmollified lift has a slowly decaying series: the half-order change is
+        # visible at order 256 and shrinks by the order 1024
+        bmap = da.make_random_homeomorphism(0, roughness=0.5)
+        low, high = (da.boundary_jacobian_integral(da.fourier_from_boundary(bmap, order=n)).error_indicator
+                     for n in (256, 1024))
+        assert 0.0 < high < low
 
     def test_step_map_rejected(self, step_two_jump):
         with pytest.raises(da.HypothesisViolationError):
@@ -193,6 +196,11 @@ class TestConvexity:
     def test_empty_series_is_a_value_error(self, series):
         with pytest.raises(ValueError, match="empty series"):
             da.univalence_margin(series)
+
+    @pytest.mark.parametrize("series", [[], np.array([], dtype=complex)])
+    def test_convexity_of_empty_series_is_a_value_error(self, series):
+        with pytest.raises(ValueError, match="empty series"):
+            da.holomorphic_convexity_check(series, 0.5)
 
     @pytest.mark.parametrize("series", [[1.0, 0.1], [1j, 0.2, -0.05j], [1.0, 0.6]])
     def test_margin_bounds_the_dense_minimum(self, series):
