@@ -256,9 +256,15 @@ def conjugate_map(bmap: BoundaryMap) -> BoundaryMap:
 
     Used as the preprocessing step that reduces orientation-reversing input
     data to the orientation-preserving form handled everywhere else.  The
-    operation is an involution.
+    operation is an involution.  A knot angle t near 0 whose 2 pi - t rounds
+    onto the next reflected knot, or onto 2 pi, moves down to one ulp below
+    that knot; a map whose reflected knots stay distinct keeps their bits.
     """
     t = TWO_PI - bmap.knots_t[::-1]
+    if not np.all(np.diff(t) > 0.0):
+        t = t.tolist()
+        for i in range(len(t) - 2, 0, -1):
+            t[i] = min(t[i], math.nextafter(t[i + 1], 0.0))
     lift = -bmap.knots_lift[::-1]
     return BoundaryMap(knots_t=t, knots_lift=lift, omega=np.conj(bmap.omega), kind=bmap.kind)
 

@@ -22,6 +22,7 @@ from .area import KERNEL_DIRECT, KERNEL_FFT, METHODS, _kernel_value
 from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
 from .runner import (
     AREA_COLUMNS,
+    MOLLIFY_WIDTHS,
     SCHEMA_VERSION,
     SUITES,
     VERIFY_COLUMNS,
@@ -34,7 +35,7 @@ from .runner import (
     run_area,
     run_suite,
 )
-from .verify import TOLERANCES, HypothesisViolationError
+from .verify import HypothesisViolationError
 
 USAGE_EXIT = 64
 DATAERR_EXIT = 65
@@ -80,12 +81,11 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--seeds", default="0..99", help="seed range for the random corpus, e.g. 0..99")
     p_verify.add_argument("--radii", default="0.25,0.5,0.75,0.9")
     p_verify.add_argument("--mollify", default=None,
-                          help="comma-separated smoothing widths (default 2pi/32,2pi/64,2pi/128)")
+                          help="comma-separated smoothing widths (default "
+                          + ",".join(f"2pi/{TWO_PI / w:g}" for w in MOLLIFY_WIDTHS) + ")")
     p_verify.add_argument("--family", action="append", default=None,
                           help="shear:c specs for the convexity suite's harmonic rows (suite convexity or all)")
     p_verify.add_argument("--order", type=int, default=512)
-    p_verify.add_argument("--tol", action="append", default=[],
-                          help="check_name=value tolerance override, for " + ", ".join(TOLERANCES) + "; repeatable")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -133,24 +133,12 @@ def _cmd_area(args) -> int:
 def _cmd_verify(args) -> int:
     if args.family and args.suite not in ("convexity", "all"):
         raise ConfigError(f"--family is read only by the convexity suite, not by {args.suite!r}")
-    tolerances = {}
-    for item in args.tol:
-        name, _, value = item.partition("=")
-        if not value:
-            raise ConfigError(f"bad tolerance override {item!r}; expected check=value")
-        if name not in TOLERANCES:
-            raise ConfigError(f"no tolerance named {name!r} (choose from {', '.join(TOLERANCES)})")
-        tol = float(value)
-        if not math.isfinite(tol) or tol < 0.0:
-            raise ConfigError(f"tolerance {item!r} must be finite and nonnegative")
-        tolerances[name] = tol
     config = SweepConfig(
         families=args.family or [],
         radii=_parse_floats(args.radii),
         seeds=parse_seed_range(args.seeds),
-        mollify=_parse_floats(args.mollify) if args.mollify else [TWO_PI / 32, TWO_PI / 64, TWO_PI / 128],
+        mollify=_parse_floats(args.mollify) if args.mollify else list(MOLLIFY_WIDTHS),
         order=args.order,
-        tolerances=tolerances,
     )
     rows = run_suite(args.suite, config)
     _emit(rows, VERIFY_COLUMNS, args)

@@ -302,8 +302,8 @@ def _chain_worst(q1: float, q2: float, q3: float, q4: float) -> float:
     return min(q1 - q2, q2 - q3, -abs(q3 - q4), q4)
 
 
-def check_reduction_chain(g: MonotoneProfile, r: float, tol: float = 1e-10, map_id: str = "") -> VerdictRecord:
-    """The four-step comparison chain that bounds the profile gap integral below.
+def check_reduction_chain(g: MonotoneProfile, r: float, map_id: str = "") -> VerdictRecord:
+    """The four-step comparison chain that bounds the profile gap integral below, to 1e-10.
 
     full integral >= mirrored-window integral >= frozen-argument integral
     = doubled half-window integral >= 0, with the equality checked as an
@@ -319,7 +319,7 @@ def check_reduction_chain(g: MonotoneProfile, r: float, tol: float = 1e-10, map_
     (windows,) = _window_integrals(_cutoff_indices(v, alphas), weighted, frozen,
                                    _trapezoid_terms(kern * tangent_gap(alphas, math.pi), alphas))
     worst = _chain_worst(q1, *windows)
-    return make_verdict("reduction-chain", map_id, r, -worst, 0.0, tol, g.n_cells)
+    return make_verdict("reduction-chain", map_id, r, -worst, 0.0, 1e-10, g.n_cells)
 
 
 def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> tuple[VerdictRecord, ...]:

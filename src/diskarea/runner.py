@@ -35,7 +35,7 @@ from .circle_maps import (
     mollify_map,
 )
 from .poisson import FourierCoeffs, eval_harmonic_step, fourier_from_boundary
-from .verify import TOLERANCES, HypothesisViolationError, VerdictRecord
+from .verify import HypothesisViolationError, VerdictRecord
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +59,7 @@ VERIFY_COLUMNS = (
 )
 
 MAX_RADIUS = 0.97  # kernel concentration cap for sweep radii
+MOLLIFY_WIDTHS = (TWO_PI / 32, TWO_PI / 64, TWO_PI / 128)  # the default smoothing widths of the contraction suite
 PROOF_PROFILES, PROOF_CHAINS = 500, 200  # the proof suite's seeded profiles, independent of the seeds
 
 
@@ -73,13 +74,9 @@ class SweepConfig:
     methods: list = field(default_factory=lambda: [GREEN_SPECTRAL])
     resolution: int = 1024
     order: int = 512
-    tolerances: dict = field(default_factory=dict)
     seeds: list = field(default_factory=lambda: list(range(100)))
-    mollify: list = field(default_factory=lambda: [TWO_PI / 32, TWO_PI / 64, TWO_PI / 128])
+    mollify: list = field(default_factory=lambda: list(MOLLIFY_WIDTHS))
     conjugate: bool = False
-
-    def tolerance(self, check_name: str) -> float:
-        return self.tolerances.get(check_name, TOLERANCES[check_name])
 
     def validate_radii(self):
         if not self.radii:
@@ -106,6 +103,8 @@ class FamilyInstance:
 
 
 _PARAM_NAMES = {"rotation": "phi", "mobius": "a", "shear": "c"}
+# the numbers of colon-separated parameters each family's spec may have
+_SPEC_PARAMS = {"identity": (0,), "rotation": (1,), "mobius": (1,), "shear": (1,), "step": (1,), "random": (1, 2)}
 
 
 def parse_seed_range(text: str) -> list[int]:
@@ -123,6 +122,11 @@ def parse_family(spec: str) -> list[FamilyInstance]:
     """Expand one family spec into concrete map instances."""
     parts = spec.split(":")
     name = parts[0]
+    if name not in _SPEC_PARAMS:
+        raise ConfigError(f"unknown family {name!r}")
+    if len(parts) - 1 not in _SPEC_PARAMS[name]:
+        counts = " or ".join(map(str, _SPEC_PARAMS[name]))
+        raise ConfigError(f"bad family spec {spec!r}: {name} takes {counts} parameter(s)")
     try:
         if name == "identity":
             return [FamilyInstance("identity", "", "identity", family_boundary_map("identity"))]
@@ -143,16 +147,13 @@ def parse_family(spec: str) -> list[FamilyInstance]:
                 )
                 for s in seeds
             ]
-        if name == "step":
-            jumps_text, values_text = parts[1].split("@", 1)
-            jumps = [float(x) for x in jumps_text.split(",")]
-            values = [float(x) for x in values_text.split(",")]
-            return [FamilyInstance("step", parts[1], spec, make_step_map(jumps, values))]
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        # step, the one family left
+        jumps_text, values_text = parts[1].split("@", 1)
+        jumps = [float(x) for x in jumps_text.split(",")]
+        values = [float(x) for x in values_text.split(",")]
+        return [FamilyInstance("step", parts[1], spec, make_step_map(jumps, values))]
+    except ValueError as exc:
         raise ConfigError(f"bad family spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown family {name!r}")
 
 
 def expand_families(config: SweepConfig) -> list[FamilyInstance]:
@@ -224,11 +225,12 @@ def _record_row(rec: VerdictRecord, family: str, params: str) -> dict:
 
 
 def _suite(checks):
-    """A suite from a generator of (record, family, params): the same config
-    argument, the timed report rows sorted by (check_name, map_id, r)."""
+    """A suite from a generator of (record, family, params): the same config argument,
+    its radii validated first, and the timed report rows sorted by (check_name, map_id, r)."""
 
     @functools.wraps(checks)
     def suite(config: SweepConfig) -> list[dict]:
+        config.validate_radii()
         rows = itertools.starmap(_record_row, checks(config))
         return _timed_rows(rows, operator.itemgetter("check_name", "map_id", "r"))
 
@@ -249,27 +251,23 @@ def _contraction_tasks(config: SweepConfig):
 
 @_suite
 def run_contraction_suite(config: SweepConfig):
-    config.validate_radii()
     if not config.mollify:
         raise ConfigError("at least one smoothing width is required")
-    tol = config.tolerance("area-contraction")
     for inst in _contraction_tasks(config):
         coeffs = fourier_from_boundary(inst.source, order=config.order)
         for r in config.radii:
-            rec = verify.check_area_contraction(coeffs, r, tol=tol, map_id=inst.map_id)
+            rec = verify.check_area_contraction(coeffs, r, map_id=inst.map_id)
             yield rec, inst.family, inst.params
 
 
 @_suite
 def run_equality_suite(config: SweepConfig):
-    config.validate_radii()
-    tol = config.tolerance("equality-rotation")
     for phi in (0.0, 1.0, math.pi / 2, math.pi):
         inst_id = f"rotation:{phi:g}"
         coeffs = fourier_from_boundary(make_rotation(phi), order=config.order)
         for r in config.radii:
             slack = verify.check_area_contraction(coeffs, r).slack
-            rec = verify.make_verdict("equality-rotation", inst_id, r, abs(slack), 0.0, tol, config.order,
+            rec = verify.make_verdict("equality-rotation", inst_id, r, abs(slack), 0.0, 1e-8, config.order,
                                       method=GREEN_SPECTRAL)
             yield rec, "rotation", f"phi={phi:g}"
     # a non-rotation's contraction slack must stand clear of its resolution error
@@ -313,9 +311,8 @@ def _schwarz_corpus(config: SweepConfig):
 
 @_suite
 def run_schwarz_suite(config: SweepConfig):
-    tol = config.tolerance("schwarz-bound")
     for inst in _schwarz_corpus(config):
-        rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, tol=tol, order=config.order)
+        rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, order=config.order)
         yield rec, inst.family, inst.params
     # sharpness of the two-value family: approach the majorant at r = 0.9
     step2 = make_step_map([math.pi / 2, 3 * math.pi / 2], [math.pi, TWO_PI])
@@ -328,7 +325,6 @@ def run_schwarz_suite(config: SweepConfig):
 
 @_suite
 def run_boundary_suite(config: SweepConfig):
-    tol = config.tolerance("boundary-flux")
     sources = [
         FamilyInstance("identity", "", "identity", family_coeffs("identity")),
         FamilyInstance("rotation", "phi=1", "rotation:1", family_coeffs("rotation", 1.0)),
@@ -336,7 +332,7 @@ def run_boundary_suite(config: SweepConfig):
     for a in (0.2, 0.4, 0.6):
         sources.append(FamilyInstance("mobius", f"a={a}", f"mobius:{a}", family_coeffs("mobius", a)))
     for inst in sources:
-        rec = verify.boundary_jacobian_integral(inst.source, tol=tol, map_id=inst.map_id)
+        rec = verify.boundary_jacobian_integral(inst.source, map_id=inst.map_id)
         yield rec, inst.family, inst.params
 
 
@@ -357,7 +353,6 @@ def run_convexity_suite(config: SweepConfig):
     which must hold only ``shear:c`` specs.  A series of
     :data:`HOLOMORPHIC_SERIES` without a positive
     :func:`verify.univalence_margin` raises HypothesisViolationError."""
-    config.validate_radii()
     specs = config.families or ["shear:0.3"]
     if any(spec.split(":")[0] != "shear" for spec in specs):
         raise ConfigError("convexity --family expects shear:<c>")
@@ -390,7 +385,6 @@ def run_proof_suite(config: SweepConfig):
     0..PROOF_PROFILES-1 and 0..PROOF_CHAINS-1, independent of ``config.seeds``
     (``--seeds``), so their three rows are the same for every seed range.
     """
-    config.validate_radii()
     radii = tuple(config.radii)
     yield proof_checks.check_tangent_gap_signs(256, radii=radii), "", ""
     for r in radii:

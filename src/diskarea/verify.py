@@ -3,13 +3,13 @@
 The boundary flux is taken at the circle itself, as the coefficient sum
 2 pi sum sgn(n) n^2 |c_n|^2, so no circle inside the disk is evaluated.
 Each check produces a :class:`VerdictRecord` pairing the two sides of an
-inequality with its slack and tolerance, built by :func:`make_verdict`.
+inequality with its slack and its fixed tolerance, built by :func:`make_verdict`;
+a report row shows the tolerance in its ``tolerance`` column.
 Checks never raise on a numerical failure (a non-finite slack gives an
 inconclusive record); they raise only when the input violates the
 hypothesis of the statement being checked (a step map fed to a
 bijectivity-only check, an uncentered map fed to the Schwarz bound).
-:data:`TOLERANCES` holds the default tolerance of each check that a sweep
-may override.  ``estimate_area`` is re-exported from :mod:`diskarea.area`.
+``estimate_area`` is re-exported from :mod:`diskarea.area`.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ _SCHWARZ_RADII = np.linspace(0.015, 0.96, 64)
 _SCHWARZ_GRID = UniformGrid(64)
 _FLUX_ORDER = 256
 
-# Default tolerance of each check whose tolerance a sweep may override.
-TOLERANCES = {
-    "area-contraction": 1e-6,  # relative to the disk area pi r^2
-    "equality-rotation": 1e-8,
-    "schwarz-bound": 1e-8,
-    "boundary-flux": 1e-3,
-}
-
 
 @dataclass(frozen=True)
 class VerdictRecord:
@@ -66,8 +58,7 @@ class VerdictRecord:
 
 
 def make_verdict(
-    check_name, map_id, r, lhs, rhs, tolerance, resolution, inconclusive=False, direction="le", holds=True,
-    method="", error_indicator=0.0,
+    check_name, map_id, r, lhs, rhs, tolerance, resolution, direction="le", holds=True, method="", error_indicator=0.0,
 ) -> VerdictRecord:
     """Record for an inequality check; pass iff slack >= -tolerance and ``holds``.
 
@@ -78,7 +69,7 @@ def make_verdict(
     the only place a VerdictRecord is built.
     """
     slack = rhs - lhs if direction == "le" else lhs - rhs
-    inconclusive = bool(inconclusive) or not math.isfinite(slack)
+    inconclusive = not math.isfinite(slack)
     return VerdictRecord(
         check_name=check_name,
         map_id=map_id,
@@ -99,21 +90,19 @@ def check_area_contraction(
     source: BoundaryMap | FourierCoeffs,
     r: float,
     method: str = GREEN_SPECTRAL,
-    tol: float = TOLERANCES["area-contraction"],
     map_id: str = "",
     order: int = 512,
 ) -> VerdictRecord:
     """Image area of the concentric disk must not exceed pi r^2 (bijective maps).
 
     ``source`` is a boundary map, which must be a homeomorphism, or its
-    Fourier coefficients.  ``tol`` is relative to pi r^2; the record holds
-    the absolute tolerance ``tol * pi r^2``.
+    Fourier coefficients.  The tolerance is 1e-6 of the disk area pi r^2.
     """
     if isinstance(source, BoundaryMap) and source.kind != HOMEOMORPHISM:
         raise HypothesisViolationError("area contraction is asserted for homeomorphisms only")
     est = estimate_area(source, r, method, order=order)  # every estimator checks r
     disk = math.pi * r * r
-    return make_verdict("area-contraction", map_id, r, est.value, disk, tol * disk, est.resolution,
+    return make_verdict("area-contraction", map_id, r, est.value, disk, 1e-6 * disk, est.resolution,
                         method=est.method, error_indicator=est.error_indicator)
 
 
@@ -122,10 +111,8 @@ def schwarz_bound(radii):
     return (4.0 / math.pi) * np.arctan(np.asarray(radii, dtype=float))
 
 
-def schwarz_bound_check(
-    bmap: BoundaryMap, tol: float = TOLERANCES["schwarz-bound"], map_id: str = "", order: int = 512
-) -> VerdictRecord:
-    """Max of |f| - (4/pi) arctan r over 64 radii in [0.015, 0.96] x 64 angles must stay <= 0.
+def schwarz_bound_check(bmap: BoundaryMap, map_id: str = "", order: int = 512) -> VerdictRecord:
+    """Max of |f| - (4/pi) arctan r over 64 radii in [0.015, 0.96] x 64 angles must stay <= 0, to 1e-8.
 
     The bound needs f(0) = 0, so the boundary data must already be centered;
     no recentering is applied (postcomposition with a disk automorphism does
@@ -144,11 +131,11 @@ def schwarz_bound_check(
     if abs(center) > 1e-10:
         raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")
     worst = float(np.max(np.max(np.abs(vals), axis=1) - schwarz_bound(_SCHWARZ_RADII)))
-    return make_verdict("schwarz-bound", map_id, float(_SCHWARZ_RADII[-1]), worst, 0.0, tol, resolution)
+    return make_verdict("schwarz-bound", map_id, float(_SCHWARZ_RADII[-1]), worst, 0.0, 1e-8, resolution)
 
 
-def boundary_jacobian_integral(source, tol: float = TOLERANCES["boundary-flux"], map_id: str = "") -> VerdictRecord:
-    """Boundary integral Phi of |det Df| must be at least 2*pi.
+def boundary_jacobian_integral(source, map_id: str = "") -> VerdictRecord:
+    """Boundary integral Phi of |det Df| must be at least 2*pi, to 1e-3.
 
     For a homeomorphism det Df > 0 in the disk (Rado-Kneser-Choquet), so by
     Parseval for h' and g' the flux on the circle itself is the finite sum
@@ -167,7 +154,7 @@ def boundary_jacobian_integral(source, tol: float = TOLERANCES["boundary-flux"],
     ns = coeffs.indices
     full, half = _full_and_half_sums(coeffs, ns * np.abs(ns) * np.abs(coeffs.coeffs) ** 2)
     flux, half = TWO_PI * full, TWO_PI * half
-    return make_verdict("boundary-flux", map_id, 1.0, flux, TWO_PI, tol, coeffs.order, direction="ge",
+    return make_verdict("boundary-flux", map_id, 1.0, flux, TWO_PI, 1e-3, coeffs.order, direction="ge",
                         error_indicator=abs(flux - half))
 
 

@@ -241,6 +241,16 @@ class TestConjugate:
         a2 = da.estimate_area(conj, 0.6)
         assert abs(a1.value - a2.value) < 1e-9
 
+    @pytest.mark.parametrize("jumps", [[0.0, 1e-300], [0.0, 5e-324], [5e-324, 1e-300, 1e-200, 1.0]])
+    def test_knots_that_reflect_onto_each_other_stay_apart(self, jumps):
+        # 2 pi - t rounds to 2 pi for every t here but 1.0: each such knot
+        # lands one ulp below the knot after it
+        conj = da.conjugate_map(da.make_step_map(jumps, range(len(jumps))))
+        tail = conj.knots_t[-len(jumps):]
+        assert tail[-1] == TWO_PI
+        for a, b in zip(tail[:-1], tail[1:]):
+            assert a == np.nextafter(b, 0.0)
+
 
 @st.composite
 def boundary_maps(draw):
@@ -255,10 +265,7 @@ def boundary_maps(draw):
             half_turn_symmetric=half_turn_symmetric,
         )
     else:
-        # jumps on a fine grid: conjugate_map cannot reflect knots that lie
-        # closer together than the rounding of 2 pi - t
-        cells = draw(st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=12, unique=True))
-        jumps = [k * (TWO_PI / 2**16) for k in sorted(cells)]
+        jumps = sorted(draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=12, unique=True)))
         fractions = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(jumps), max_size=len(jumps))))
         start = draw(st.floats(-TWO_PI, TWO_PI))
         span = draw(st.floats(0.0, TWO_PI))
@@ -271,6 +278,7 @@ class TestSerialization:
     @given(boundary_maps())
     @example(da.make_step_map([0.0], [-5e-324]))
     @example(da.conjugate_map(da.make_step_map([0.0], [-5e-324])))
+    @example(da.conjugate_map(da.make_step_map([0.0, 1e-300], [0.0, 1.0])))
     def test_round_trip_bit_exact_property(self, bmap):
         back = da.from_json(da.to_json(bmap))
         assert back.kind == bmap.kind

@@ -188,26 +188,6 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "equality", "--radii", "0.5")
         assert code == 0
 
-    def test_tolerance_override(self, capsys):
-        # an absurdly demanding tolerance forces failures and exit code 1
-        # (r = 0.7 leaves a one-ulp rotation slack, unlike the exact 0.5 case)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "equality", "--radii", "0.7",
-                               "--tol", "equality-rotation=1e-30")
-        assert code == 1
-
-    def test_unknown_tolerance_name_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "equality", "--radii", "0.5",
-                                 "--tol", "area_contraction=1e-3")
-        assert code == 64
-        assert "area_contraction" in err and out == ""
-
-    def test_non_finite_or_negative_tolerance_usage_error(self, capsys):
-        for value in ("inf", "nan", "-1"):
-            code, out, err = run_cli(capsys, "verify", "--suite", "boundary",
-                                     "--tol", f"boundary-flux={value}")
-            assert code == 64, value
-            assert "finite and nonnegative" in err and out == ""
-
     def test_empty_mollify_list_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "0..0",
                                  "--radii", "0.5", "--mollify", ",")
@@ -245,9 +225,17 @@ class TestVerifyCommand:
         assert {row["r"] for row in parse_csv(out)} == {"0.1", "0.2"}
 
     def test_workers_flag_removed(self, capsys):
-        for command in (("area", "--family", "identity", "--r", "0.5"), ("verify", "--suite", "boundary")):
-            code, _, _ = run_cli(capsys, *command, "--workers", "2")
+        for command in (("area", "--family", "identity", "--r", "0.5", "--workers", "2"),
+                        ("verify", "--suite", "boundary", "--workers", "2"),
+                        ("verify", "--suite", "boundary", "--tol", "area-contraction=1")):
+            code, _, _ = run_cli(capsys, *command)
             assert code == 64
+
+    @pytest.mark.parametrize("suite, radii", [("boundary", "5"), ("schwarz", "5,-1")])
+    def test_suites_without_radius_rows_validate_radii(self, capsys, suite, radii):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seeds", "0", "--radii", radii)
+        assert code == 64
+        assert "outside (0, 0.97]" in err and out == ""
 
     def test_determinism_modulo_wall_time(self, capsys):
         args = ("verify", "--suite", "schwarz", "--seeds", "0..2", "--radii", "0.5")

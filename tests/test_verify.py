@@ -46,11 +46,9 @@ class TestAreaContraction:
         assert rec.lhs == est.value
         assert rec.error_indicator == est.error_indicator
 
-    def test_default_tolerance_is_tabled(self, mobius_half):
+    def test_tolerance_is_relative_to_the_disk(self, mobius_half):
         rec = da.check_area_contraction(mobius_half, 0.5)
-        assert rec.tolerance == da.verify.TOLERANCES["area-contraction"] * (math.pi * 0.25)
-        # a given tolerance is relative to the disk area too
-        assert da.check_area_contraction(mobius_half, 0.5, tol=1e-3).tolerance == 1e-3 * (math.pi * 0.25)
+        assert rec.tolerance == 1e-6 * (math.pi * 0.25)
 
     def test_verdict_invariants(self, mobius_half):
         rec = da.check_area_contraction(mobius_half, 0.5)
