@@ -181,23 +181,28 @@ def make_random_homeomorphism(
     if half_turn_symmetric and n_knots % 2:
         raise ValueError("half_turn_symmetric needs an even n_knots")
     rng = np.random.default_rng(seed)
-    lift = _random_lift(rng, n_knots, roughness, half_turn_symmetric)
+    draws = rng.standard_normal(n_knots // 2 if half_turn_symmetric else n_knots)
+    if half_turn_symmetric:
+        draws = np.concatenate([draws, draws])
+    lift = _random_lift(draws, roughness)
     omega = cmath.exp(1j * TWO_PI * rng.uniform())
     t = np.linspace(0.0, TWO_PI, n_knots + 1)
     return BoundaryMap(knots_t=t, knots_lift=lift, omega=omega, kind=HOMEOMORPHISM)
 
 
-def _random_lift(rng, n_cells: int, roughness: float, half_turn_symmetric: bool = False) -> np.ndarray:
-    """The lift of :func:`make_random_homeomorphism` at n_cells + 1 knots, from ``rng``'s draws;
-    the proof checks' random profiles are built by it too."""
-    if half_turn_symmetric:
-        half = np.exp(roughness * rng.standard_normal(n_cells // 2))
-        inc = np.concatenate([half, half])
-    else:
-        inc = np.exp(roughness * rng.standard_normal(n_cells))
-    lift = np.concatenate([[0.0], np.cumsum(inc)])
-    lift *= TWO_PI / lift[-1]
-    lift[-1] = TWO_PI
+def _random_lift(draws, roughness: float) -> np.ndarray:
+    """The lifts of :func:`make_random_homeomorphism` from standard normal
+    ``draws``, one lift of draws.shape[-1] + 1 knots per row of the last axis.
+
+    Each row's increments exp(roughness * draw) are summed from 0 and scaled
+    to rise by exactly 2*pi.  The proof checks' random profiles are built by
+    it too, a block of rows at a time; a row's lift is the same, bit for bit,
+    whether it is lifted alone or in a block.
+    """
+    lift = np.zeros(draws.shape[:-1] + (draws.shape[-1] + 1,))
+    np.cumsum(np.exp(roughness * draws), axis=-1, out=lift[..., 1:])
+    lift *= TWO_PI / lift[..., -1:]
+    lift[..., -1] = TWO_PI
     return lift
 
 

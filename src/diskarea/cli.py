@@ -81,8 +81,8 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--seeds", default="0..99", help="seed range for the random corpus, e.g. 0..99")
     p_verify.add_argument("--radii", default="0.25,0.5,0.75,0.9")
     p_verify.add_argument("--mollify", default=None,
-                          help="comma-separated smoothing widths (default "
-                          + ",".join(f"2pi/{TWO_PI / w:g}" for w in MOLLIFY_WIDTHS) + ")")
+                          help="comma-separated smoothing widths of the contraction suite (suite contraction or all; "
+                          "default " + ",".join(f"2pi/{TWO_PI / w:g}" for w in MOLLIFY_WIDTHS) + ")")
     p_verify.add_argument("--family", action="append", default=None,
                           help="shear:c specs for the convexity suite's harmonic rows (suite convexity or all)")
     p_verify.add_argument("--order", type=int, default=512)
@@ -133,6 +133,8 @@ def _cmd_area(args) -> int:
 def _cmd_verify(args) -> int:
     if args.family and args.suite not in ("convexity", "all"):
         raise ConfigError(f"--family is read only by the convexity suite, not by {args.suite!r}")
+    if args.mollify is not None and args.suite not in ("contraction", "all"):
+        raise ConfigError(f"--mollify is read only by the contraction suite, not by {args.suite!r}")
     config = SweepConfig(
         families=args.family or [],
         radii=_parse_floats(args.radii),

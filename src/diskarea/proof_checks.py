@@ -101,7 +101,20 @@ def random_profile(seed: int, n_cells: int = 512, roughness: float = 1.0) -> Mon
 
 
 def _random_values(seed: int, n_cells: int, roughness: float) -> np.ndarray:
-    return _random_lift(np.random.default_rng(seed), n_cells, roughness)
+    return _random_block([seed], n_cells, roughness)[0]
+
+
+def _random_block(seeds, n_cells: int, roughness: float) -> np.ndarray:
+    """The samples of ``random_profile(seed)`` for each of ``seeds``, one row each.
+
+    Each seed's stream draws its n_cells normals into its own row, and the
+    rows are lifted together, so every row equals the single-profile draw bit
+    for bit.
+    """
+    draws = np.empty((len(seeds), n_cells))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return _random_lift(draws, roughness)
 
 
 def tangent_gap(alpha, beta):
@@ -270,9 +283,13 @@ def _trapezoid_terms(y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
     The plain sum of the slice [i:j] of a row is the trapezoid integral of
     that row over samples i..j bit for bit: np.trapezoid forms the same terms
-    and sums them the same way.
+    and sums them the same way.  The terms are formed in one array, in place,
+    by the same operations in the same order.
     """
-    return np.diff(alphas) * (y[..., 1:] + y[..., :-1]) / 2.0
+    terms = np.add(y[..., 1:], y[..., :-1])
+    terms *= np.diff(alphas)
+    terms /= 2.0
+    return terms
 
 
 def _window_integrals(cutoffs, weighted, frozen, at_pi) -> list[tuple[float, float, float]]:
@@ -336,11 +353,12 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
       :func:`reflect_profile` over the same seeds must be <= 1e-10.
 
     Each record has r = max(radii) and resolution 512.  The values equal those
-    of the single-profile functions bit for bit.  Each profile is drawn once
-    and its tangent gap computed once; the kernel and the K(a) gap(a, pi)
-    terms are built once per radius, the trapezoid terms of each block once
-    per radius, and the profiles are integrated in blocks of a fixed number of
-    rows, which bounds the working set.
+    of the single-profile functions bit for bit.  The profiles are integrated
+    in blocks of a fixed number of rows, which bounds the working set; each
+    block is drawn into one array and lifted at once (:func:`_random_block`),
+    and each profile's tangent gap is computed once.  The kernel and the
+    K(a) gap(a, pi) terms are built once per radius, and the trapezoid terms
+    of each block once per radius.
     """
     radii = tuple(_check_radius(r, allow_zero=False) for r in radii)
     if not radii or n_profiles < 1 or n_chains < 1:
@@ -353,21 +371,22 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
     n_seeds = max(n_profiles, n_chains)
     integrals, worsts, reflection = [], [], []  # seed-major, radius-minor
     for start in range(0, n_seeds, _PROFILE_BLOCK):
-        raw = _checked_rows([_random_values(seed, n, 1.0)
-                             for seed in range(start, min(start + _PROFILE_BLOCK, n_seeds))])
+        raw = _checked_rows(_random_block(range(start, min(start + _PROFILE_BLOCK, n_seeds)), n, 1.0))
         v = _canonical_rows(raw)
         c = min(len(v), max(0, n_chains - start))  # leading rows that also carry a chain
         gap = tangent_gap(alphas, v)
-        mirrored = tangent_gap(alphas, _canonical_rows(_reflected_rows(raw[:c])))
+        # a chain row reflected into v is its own mirror, with no drift: mirror the others
+        kept = np.flatnonzero(raw[:c, n // 2] <= math.pi)
+        mirrored = tangent_gap(alphas, _canonical_rows(_reflected_rows(raw[kept])))
         frozen = tangent_gap(alphas, v[:c, n // 2, None])
         cutoffs = _cutoff_indices(v[:c], alphas)
         q1 = np.empty((len(v), len(radii)))
-        drift = np.empty((c, len(radii)))
+        drift = np.zeros((c, len(radii)))
         worst = np.empty((c, len(radii)))
         for j, kern in enumerate(kerns):
             weighted = _trapezoid_terms(kern * gap, alphas)
             q1[:, j] = weighted.sum(axis=-1)
-            drift[:, j] = np.abs(q1[:c, j] - np.trapezoid(kern * mirrored, alphas, axis=-1))
+            drift[kept, j] = np.abs(q1[kept, j] - np.trapezoid(kern * mirrored, alphas, axis=-1))
             windows = _window_integrals(cutoffs, weighted, _trapezoid_terms(kern * frozen, alphas), pi_terms[j])
             worst[:, j] = [_chain_worst(q, *w) for q, w in zip(q1[:c, j].tolist(), windows)]
         integrals += q1.ravel().tolist()

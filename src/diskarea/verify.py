@@ -27,6 +27,7 @@ from .poisson import (
     UniformGrid,
     _check_radius,
     _series,
+    _sharing_powers,
     eval_harmonic,
     eval_harmonic_step,
     fourier_from_boundary,
@@ -109,6 +110,13 @@ def check_area_contraction(
 def schwarz_bound(radii):
     """The harmonic Schwarz majorant (4/pi) arctan(r)."""
     return (4.0 / math.pi) * np.arctan(np.asarray(radii, dtype=float))
+
+
+def _sharing_schwarz_powers(order: int):
+    """A block within which the Schwarz checks of smooth maps at ``order``
+    share one table of the polar grid's radial powers (see
+    :func:`poisson._sharing_powers`); the checks' values are unchanged."""
+    return _sharing_powers(_SCHWARZ_RADII, order)
 
 
 def schwarz_bound_check(bmap: BoundaryMap, map_id: str = "", order: int = 512) -> VerdictRecord:

@@ -2,9 +2,10 @@
 
 Each one checks a statement the library relies on by a slow, direct route:
 trapezoid quadrature of the kernel integrals, checked against their closed
-forms, plain lift arithmetic for the increment identities, and full meshgrids
-for the proof suite's grid checks.  None of them feeds a report row, so they
-live here and not in ``diskarea``.
+forms, plain lift arithmetic for the increment identities, full meshgrids
+for the proof suite's grid checks, the series fold through a copied array
+of its terms, and the random lift drawn one row at a time.  None of them
+feeds a report row, so they live here and not in ``diskarea``.
 """
 
 from __future__ import annotations
@@ -154,3 +155,33 @@ def mirror_pair_residual_meshgrid(r: float, grid_n: int = 256):
     lhs = kern * tangent_gap(A, B) + area_kernel(r, TWO_PI - A) * tangent_gap(TWO_PI - A, B)
     rhs = 2.0 * kern * tangent_gap(A, math.pi)
     return float(np.max(np.abs(lhs - rhs))), float(np.min(rhs))
+
+
+def fold_reshape_sum(powers, shifted, n0, n_bins):
+    """The bins of :func:`diskarea.poisson._fold` through a broadcast array of
+    the terms, copied into a zero-padded buffer that is summed over its rows
+    of bins; the in-place fold must give the same bits.  Two or more bins."""
+    weights = powers[:, None, :] * shifted[..., None, :, :]
+    n_terms = weights.shape[-1]
+    lead = n0 % n_bins
+    rows = -(-(lead + n_terms) // n_bins)
+    padded = np.zeros(weights.shape[:-1] + (rows * n_bins,), dtype=complex)
+    padded[..., lead : lead + n_terms] = weights
+    return padded.reshape(weights.shape[:-1] + (rows, n_bins)).sum(axis=-2)
+
+
+def random_lift_one_row(seed: int, n_cells: int, roughness: float, half_turn_symmetric: bool = False):
+    """The random lift of one seed, drawn and summed as a single row:
+    exp(roughness * N(0,1)) increments (the half-turn symmetric lift repeats
+    the first half's), cumulated from 0 and scaled to rise by 2*pi.  The
+    block-wise lift of the library must give the same bits."""
+    rng = np.random.default_rng(seed)
+    if half_turn_symmetric:
+        half = np.exp(roughness * rng.standard_normal(n_cells // 2))
+        inc = np.concatenate([half, half])
+    else:
+        inc = np.exp(roughness * rng.standard_normal(n_cells))
+    lift = np.concatenate([[0.0], np.cumsum(inc)])
+    lift *= TWO_PI / lift[-1]
+    lift[-1] = TWO_PI
+    return lift

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import diskarea as da
 
+import oracles
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -173,6 +175,14 @@ class TestRandomHomeomorphism:
         for seed in range(4):
             lift = da.make_random_homeomorphism(seed, 256, 0.5).knots_lift
             assert proof_checks._random_values(seed, 256, 0.5).tobytes() == lift.tobytes()
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_lift_is_the_one_row_draw(self, symmetric):
+        # the half-turn symmetric lift exponentiates its repeated draws, not a repeated half
+        for seed, n_knots, roughness in ((0, 256, 0.5), (9, 6, 0.9), (31, 1000, 0.01)):
+            lift = da.make_random_homeomorphism(seed, n_knots, roughness, half_turn_symmetric=symmetric).knots_lift
+            want = oracles.random_lift_one_row(seed, n_knots, roughness, symmetric)
+            assert lift.tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -195,9 +195,14 @@ class TestVerifyCommand:
         assert "smoothing width" in err and out == ""
 
     def test_family_outside_convexity_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "boundary", "--family", "shear:0.3")
-        assert code == 64
-        assert "--family" in err and out == ""
+        # a flag that only one suite reads is rejected, by name, with any other suite
+        for argv, flag in (
+            (("--suite", "boundary", "--family", "shear:0.3"), "--family"),
+            (("--suite", "proof", "--radii", "0.5", "--seeds", "0", "--mollify", "0.5"), "--mollify"),
+        ):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert code == 64
+            assert flag in err and out == ""
 
     def test_verify_conjugate_flag_removed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "boundary", "--conjugate")

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
-from diskarea import poisson
+from diskarea import poisson, verify
 
 import oracles
 
@@ -437,6 +437,103 @@ class TestGridEvaluation:
         grid = da.UniformGrid(np.int64(8), 1)
         assert type(grid.n_theta) is int and type(grid.shift) is float
         assert grid == da.UniformGrid(8, 1.0)
+
+
+class TestFoldBits:
+    """The in-place fold gives the bins of the reshape-sum fold bit for bit.
+
+    Both form each term by the same product and sum each bin's terms in the
+    same order, so any reordering of a sum shows here, as it would not
+    against Horner to 1e-13.
+    """
+
+    def inputs(self, n_radii, n_terms, series=()):
+        rng = np.random.default_rng(n_radii * 1000 + n_terms)
+        powers = rng.random((n_radii, n_terms))
+        shape = series + (1, n_terms)
+        return powers, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("series, n0, n_terms, n_bins", [
+        ((), -1, 3, 3),  # index -1 wraps into bin 2
+        ((), -6, 13, 3),
+        ((2,), 0, 8, 3),  # stacked series, as wirtinger_on_circle folds them
+        ((), -2, 5, 7),
+        ((), -9, 19, 7),
+        ((2,), 0, 12, 7),
+        ((), -100, 201, 64),  # -100 is 28 mod 64: the first row starts mid-row
+        ((2, 3), -100, 201, 64),
+        ((), 0, 7, 7),  # one row of bins, filled
+        ((2,), 0, 5, 8),  # one row, partly filled
+        ((), 3, 4, 8),  # one row that starts mid-row
+    ])
+    def test_matches_reshape_sum(self, series, n0, n_terms, n_bins):
+        powers, shifted = self.inputs(5, n_terms, series)
+        got = poisson._fold(powers, shifted, n0, n_bins)
+        want = oracles.fold_reshape_sum(powers, shifted, n0, n_bins)
+        assert got.shape == want.shape == series + (5, 1, n_bins)
+        assert np.array_equal(got, want)
+
+    def test_schwarz_shape(self, mollified_map):
+        # 64 radii x 1025 terms into 64 bins: the fold of every Schwarz check
+        coeffs = da.fourier_from_boundary(mollified_map, order=512)
+        ns = coeffs.indices
+        powers = poisson._radial_powers(verify._SCHWARZ_RADII, ns, coeffs.coeffs)
+        shifted = coeffs.coeffs[None, :]
+        got = poisson._fold(powers, shifted, -512, 64)
+        assert got.shape == (64, 1, 64)
+        assert np.array_equal(got, oracles.fold_reshape_sum(powers, shifted, -512, 64))
+
+    def test_schwarz_shape_peak_memory(self, mollified_map):
+        import tracemalloc
+
+        coeffs = da.fourier_from_boundary(mollified_map, order=512)
+        da.eval_harmonic(coeffs, verify._SCHWARZ_RADII, verify._SCHWARZ_GRID)
+        tracemalloc.start()
+        try:
+            da.eval_harmonic(coeffs, verify._SCHWARZ_RADII, verify._SCHWARZ_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the padded bins (1.1 MB) and the powers (0.5 MB) take about 2.0 MB;
+        # the terms as a further 64 x 1025 complex array would add 1.05 MB
+        assert peak < 2.4e6
+
+
+class TestSharedPowers:
+    RADII = np.linspace(0.01, 0.95, 9)
+
+    def test_block_gives_the_same_powers(self, mollified_map):
+        coeffs = da.fourier_from_boundary(mollified_map, order=40)
+        ns = coeffs.indices
+        want = poisson._radial_powers(self.RADII, ns, coeffs.coeffs)
+        with poisson._sharing_powers(self.RADII, 40):
+            shared = poisson._shared_powers[1]
+            assert np.array_equal(poisson._radial_powers(self.RADII, ns, coeffs.coeffs), want)
+            # the shared table is read, never written
+            assert np.array_equal(shared, poisson._power_table(self.RADII, 40))
+        assert poisson._shared_powers is None
+
+    def test_only_the_same_radii_and_top_read_the_table(self, mollified_map, monkeypatch):
+        coeffs = da.fourier_from_boundary(mollified_map, order=40)
+        with poisson._sharing_powers(self.RADII, 40):
+            built = []
+            build = poisson._power_table
+            monkeypatch.setattr(poisson, "_power_table", lambda rho, top: built.append(top) or build(rho, top))
+            poisson._radial_powers(self.RADII, coeffs.indices, coeffs.coeffs)
+            assert built == []
+            poisson._radial_powers(self.RADII.copy(), coeffs.indices, coeffs.coeffs)
+            poisson._radial_powers(self.RADII, coeffs.indices[10:-10], coeffs.coeffs[10:-10])
+            assert built == [40, 30]
+
+    def test_blocks_nest_and_unwind_on_error(self):
+        with pytest.raises(RuntimeError):
+            with poisson._sharing_powers(self.RADII, 4):
+                outer = poisson._shared_powers
+                with poisson._sharing_powers(self.RADII, 8):
+                    assert poisson._shared_powers[1].shape == (9, 9)
+                assert poisson._shared_powers is outer
+                raise RuntimeError
+        assert poisson._shared_powers is None
 
 
 class TestWirtinger:

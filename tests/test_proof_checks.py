@@ -351,15 +351,17 @@ class TestProfileFamily:
             assert [oracles.record_json(rec) for rec in pc.check_profile_family(radii, 40, 25)] == want
 
     def test_non_monotone_row_raises(self, monkeypatch):
-        draw = pc._random_values
+        draw = pc._random_block
 
-        def dented(seed, n_cells, roughness):
-            vals = draw(seed, n_cells, roughness)
-            if seed == 70:  # second block, past the chains
+        def dented(seeds, n_cells, roughness):
+            rows = draw(seeds, n_cells, roughness)
+            seeds = list(seeds)
+            if 70 in seeds:  # second block, past the chains
+                vals = rows[seeds.index(70)]
                 vals[300] = vals[299] - 1e-9
-            return vals
+            return rows
 
-        monkeypatch.setattr(pc, "_random_values", dented)
+        monkeypatch.setattr(pc, "_random_block", dented)
         with pytest.raises(ValueError, match="nondecreasing"):
             pc.check_profile_family((0.5,), n_profiles=80, n_chains=10)
         pc.check_profile_family((0.5,), n_profiles=70, n_chains=10)
@@ -374,6 +376,14 @@ class TestProfileFamily:
 
 
 class TestBatchedProfileHelpers:
+    def test_block_draw_is_each_seeds_own_lift(self):
+        # each seed's stream fills its own row, and the block is lifted at once
+        for seeds in (range(64), range(448, 500), [3]):
+            block = pc._random_block(seeds, 512, 1.0)
+            assert block.shape == (len(seeds), 513)
+            for row, seed in zip(block, seeds):
+                assert row.tobytes() == oracles.random_lift_one_row(seed, 512, 1.0).tobytes()
+
     def test_rows_agree_with_single_profile_calls(self):
         block = pc._checked_rows(list(EDGE_PROFILES.values()) + [pc._random_values(s, 512, 1.0) for s in range(4)])
         v = pc._canonical_rows(block)

@@ -1,13 +1,15 @@
 import collections
+import gc
 import json
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 import diskarea as da
-from diskarea import area, runner
+from diskarea import area, poisson, proof_checks, runner, verify
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,6 +245,57 @@ class TestSuites:
             times = [row["wall_time_ms"] for row in rows]
             assert sum(times) <= elapsed_ms + 0.0005 * len(rows) + 1e-9
             assert sum(times) > 0.0
+
+    def test_no_power_table_outlives_the_schwarz_suite(self, monkeypatch):
+        tables = []
+        build = poisson._power_table
+
+        def recording(rho, top):
+            table = build(rho, top)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(poisson, "_power_table", recording)
+        config = runner.SweepConfig(radii=[0.5], seeds=[0, 1, 2], order=64)
+        rows = runner.run_schwarz_suite(config)
+        # the identity, the rotation and three random maps read one table; the step maps none
+        assert len(tables) == 1
+        assert poisson._shared_powers is None
+        gc.collect()
+        assert tables[0]() is None
+        # each record is the one the check gives outside the suite
+        smooth = [inst for inst in runner._schwarz_corpus(config) if inst.family != "step"]
+        for inst in smooth:
+            rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, order=64)
+            (row,) = [row for row in rows if row["map_id"] == inst.map_id]
+            assert row["lhs"] == rec.lhs and row["passed"] == "true"
+
+    def test_schwarz_power_table_dropped_on_error(self, monkeypatch):
+        # an uncentered map stops the suite inside the block
+        corpus = runner._schwarz_corpus
+
+        def with_uncentered(config):
+            yield from corpus(config)
+            yield runner.FamilyInstance("random", "", "random:0", da.make_random_homeomorphism(0))
+
+        monkeypatch.setattr(runner, "_schwarz_corpus", with_uncentered)
+        with pytest.raises(da.HypothesisViolationError, match="not centered"):
+            runner.run_schwarz_suite(runner.SweepConfig(radii=[0.5], seeds=[0], order=32))
+        assert poisson._shared_powers is None
+
+    def test_mirror_pair_checked_once_per_capped_radius(self, monkeypatch):
+        checked = []
+        check = proof_checks.check_mirror_pair_identity
+        monkeypatch.setattr(proof_checks, "check_mirror_pair_identity", lambda r: checked.append(r) or check(r))
+        monkeypatch.setattr(runner, "PROOF_PROFILES", 2)
+        monkeypatch.setattr(runner, "PROOF_CHAINS", 2)
+        rows = runner.run_proof_suite(runner.SweepConfig(radii=[0.25, 0.75, 0.5, 0.9], seeds=[0]))
+        assert checked == [0.25, 0.7, 0.5]
+        mirror = [row for row in rows if row["check_name"] == "mirror-pair-identity"]
+        assert [row["r"] for row in mirror] == [0.25, 0.5, 0.7, 0.7]
+        for row in mirror:
+            want = dict(runner._record_row(check(row["r"]), "", ""), schema=runner.SCHEMA_VERSION)
+            assert {k: v for k, v in row.items() if k != "wall_time_ms"} == want
 
     def test_contraction_tolerance_is_relative_to_the_disk(self):
         config = runner.SweepConfig(radii=[0.5], seeds=[0], mollify=[TWO_PI / 64])
