@@ -23,7 +23,6 @@ from .area import (
     area_kernel_fft,
     estimate_area,
     exact_family_area,
-    family_boundary_map,
     family_coeffs,
 )
 from .circle_maps import (

@@ -42,13 +42,6 @@ KERNEL_FFT = "kernel-fft"
 JACOBIAN_GRID = "jacobian"
 EXACT_FAMILY = "exact"
 
-FAMILY_IDENTITY = "identity"
-FAMILY_ROTATION = "rotation"
-FAMILY_SHEAR = "shear"
-FAMILY_MOBIUS = "mobius"
-
-CLOSED_FORM_FAMILIES = (FAMILY_IDENTITY, FAMILY_ROTATION, FAMILY_SHEAR, FAMILY_MOBIUS)
-
 # What an area method takes, and so how estimate_area calls its estimator:
 BOUNDARY = "boundary map"  # estimator(bmap, r[, resolution])
 BOUNDARY_OR_COEFFS = "boundary map or FourierCoeffs"  # estimator(source, r, order=order)
@@ -257,67 +250,89 @@ def area_jacobian_grid(
     return AreaEstimate(full, JACOBIAN_GRID, n_rho, abs(full - half))
 
 
+class MapFamily(NamedTuple):
+    spec: str  # the spec form, "mobius:a"
+    counts: tuple  # the numbers of colon-separated parameters a spec may have
+    parse: str | None = None  # parser: a spec field or a builder's argument -> the validated parameter
+    coeffs: str | None = None  # builder(*param) -> the exact FourierCoeffs
+    boundary: str | None = None  # builder(*param) -> the BoundaryMap on the circle
+    area: str | None = None  # builder(r, *param) -> the image area of the disk of radius r
+
+
+def _bounded(value, bound: float, rule: str):
+    """``value`` if |value| < bound, which NaN never is; else ValueError(rule)."""
+    if not abs(value) < bound:
+        raise ValueError(rule)
+    return value
+
+
+def _mobius_coeffs(a: complex) -> FourierCoeffs:
+    """The series of (z - a) / (1 - conj(a) z), truncated at order 64."""
+    entries = {0: -a}
+    for n in range(1, 65):
+        entries[n] = (1.0 - abs(a) ** 2) * np.conj(a) ** (n - 1)
+    return FourierCoeffs.from_dict(entries)
+
+
+def _mobius_area(r: float, a: complex) -> float:
+    """pi R^2 with R = r (1 - |a|^2) / (1 - |a|^2 r^2), the standard image-disk
+    radius, which the test suite confirms against the Jacobian oracle."""
+    a = abs(a)
+    radius = r * (1.0 - a * a) / (1.0 - a * a * r * r)
+    return math.pi * radius * radius
+
+
+_angle = lambda phi: _bounded(float(phi), math.inf, "omega must have unit modulus")
+_shear_c = lambda c: _bounded(complex(c), 0.5, "shear parameter must satisfy |c| < 1/2")
+_mobius_a = lambda a: _bounded(complex(a), 1.0, "Mobius parameter must satisfy |a| < 1")
+_rotation_coeffs = lambda phi=0.0: FourierCoeffs.from_dict({1: np.exp(1j * phi)})
+_shear_coeffs = lambda c: FourierCoeffs.from_dict({1: 1.0, -2: c})
+_disk_area = lambda r, phi=0.0: math.pi * r * r
+_shear_area = lambda r, c: math.pi * (r * r - 2.0 * abs(c) * abs(c) * r ** 4)
+
+# The map families, in the order usage messages list them.  Parsers and builders
+# are named, not held, for the reason REGISTRY gives; a builder is None where the
+# family has none.  runner.parse_family expands random and step.
+FAMILIES = {
+    "identity": MapFamily("identity", (0,), None, "_rotation_coeffs", "make_identity", "_disk_area"),
+    "rotation": MapFamily("rotation:phi", (1,), "_angle", "_rotation_coeffs", "make_rotation", "_disk_area"),
+    "shear": MapFamily("shear:c", (1,), "_shear_c", "_shear_coeffs", None, "_shear_area"),  # z + c conj(z)^2
+    "mobius": MapFamily("mobius:a", (1,), "_mobius_a", "_mobius_coeffs", "make_mobius_boundary", "_mobius_area"),
+    "random": MapFamily("random:seeds:roughness", (1, 2)),
+    "step": MapFamily("step:j1,j2@v1,v2", (1,)),
+}
+
+
+def family_parameter(family: str, fields) -> object:
+    """``family``'s parameter from its spec fields, checked by its entry's
+    parser; None if it takes none.  Too few or too many raise ValueError."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    entry = FAMILIES[family]
+    if len(fields) not in entry.counts:
+        raise ValueError(f"{family} takes {' or '.join(map(str, entry.counts))} parameter(s)")
+    return globals()[entry.parse](*fields) if entry.parse else None
+
+
+def build_family(family: str, form: str, param=None, *lead):
+    """The ``form`` builder of ``family`` ("coeffs", "boundary" or "area") on
+    ``lead`` and the parameter, which its entry's parser checks first."""
+    param = family_parameter(family, () if param is None else (param,))
+    builder = getattr(FAMILIES[family], form)
+    if builder is None:
+        raise ValueError(f"family {family!r} has no closed-form {form}")
+    return globals()[builder](*lead, *(() if param is None else (param,)))
+
+
 def family_coeffs(family: str, param=None) -> FourierCoeffs:
-    """Exact Fourier coefficients of the closed-form test families; the Mobius
-    series is truncated at order 64."""
-    if family == FAMILY_IDENTITY:
-        return FourierCoeffs.from_dict({1: 1.0})
-    if family == FAMILY_ROTATION:
-        return FourierCoeffs.from_dict({1: np.exp(1j * float(param))})
-    if family == FAMILY_SHEAR:
-        c = complex(param)
-        if not 0 <= abs(c) < 0.5:
-            raise ValueError("shear parameter must satisfy |c| < 1/2")
-        return FourierCoeffs.from_dict({1: 1.0, -2: c})
-    if family == FAMILY_MOBIUS:
-        a = complex(param)
-        if not abs(a) < 1.0:
-            raise ValueError("Mobius parameter must satisfy |a| < 1")
-        entries = {0: -a}
-        for n in range(1, 65):
-            entries[n] = (1.0 - abs(a) ** 2) * np.conj(a) ** (n - 1)
-        return FourierCoeffs.from_dict(entries)
-    raise ValueError(f"unknown family {family!r}")
+    """Exact Fourier coefficients of a closed-form family."""
+    return build_family(family, "coeffs", param)
 
 
 def exact_family_area(family: str, r: float, param=None) -> AreaEstimate:
-    """Closed-form image areas of the exact families.
-
-    identity/rotation: pi r^2.  shear (z + c conj(z)^2): pi (r^2 - 2|c|^2 r^4).
-    mobius: pi R^2 with R = r (1 - |a|^2) / (1 - |a|^2 r^2), the standard
-    image-disk radius, which the test suite confirms against the Jacobian
-    oracle before relying on it.
-    """
+    """Closed-form image area of a family at radius r."""
     r = _check_radius(r, allow_zero=False)
-    if family in (FAMILY_IDENTITY, FAMILY_ROTATION):
-        value = math.pi * r * r
-    elif family == FAMILY_SHEAR:
-        c = abs(complex(param))
-        if not c < 0.5:
-            raise ValueError("shear parameter must satisfy |c| < 1/2")
-        value = math.pi * (r * r - 2.0 * c * c * r ** 4)
-    elif family == FAMILY_MOBIUS:
-        a = abs(complex(param))
-        if not a < 1.0:
-            raise ValueError("Mobius parameter must satisfy |a| < 1")
-        radius = r * (1.0 - a * a) / (1.0 - a * a * r * r)
-        value = math.pi * radius * radius
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return AreaEstimate(value, EXACT_FAMILY, 0, 0.0)
-
-
-def family_boundary_map(family: str, param=None) -> BoundaryMap:
-    """Boundary correspondence of a family, where one exists on the circle."""
-    if family == FAMILY_IDENTITY:
-        return make_identity()
-    if family == FAMILY_ROTATION:
-        return make_rotation(float(param))
-    if family == FAMILY_MOBIUS:
-        return make_mobius_boundary(complex(param))
-    if family == FAMILY_SHEAR:
-        raise ValueError("the shear family is not unimodular on the circle; use family_coeffs")
-    raise ValueError(f"unknown family {family!r}")
+    return AreaEstimate(build_family(family, "area", param, r), EXACT_FAMILY, 0, 0.0)
 
 
 def estimate_area(source, r: float, method: str = GREEN_SPECTRAL, order: int = 512,
@@ -341,11 +356,10 @@ def estimate_area(source, r: float, method: str = GREEN_SPECTRAL, order: int = 5
     else:
         data, family, param = source.source, source.family, source.param
     if takes == CLOSED_FORM:
-        if family not in CLOSED_FORM_FAMILIES:
+        closed = [name for name, entry in FAMILIES.items() if entry.area]
+        if family not in closed:
             what = f"family {family!r}" if family else "a bare map"
-            raise HypothesisViolationError(
-                f"{method} needs a closed-form family ({', '.join(CLOSED_FORM_FAMILIES)}), not {what}"
-            )
+            raise HypothesisViolationError(f"{method} needs a closed-form family ({', '.join(closed)}), not {what}")
         return estimator(family, r, param)
     if takes == BOUNDARY:
         if not isinstance(data, BoundaryMap):

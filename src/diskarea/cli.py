@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import pair_sums
-from .area import KERNEL_DIRECT, KERNEL_FFT, METHODS, _kernel_value
+from .area import FAMILIES, KERNEL_DIRECT, KERNEL_FFT, METHODS, _kernel_value
 from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
 from .runner import (
     AREA_COLUMNS,
@@ -65,7 +65,7 @@ def build_parser() -> _Parser:
 
     p_area = sub.add_parser("area", help="compute image areas of concentric disks")
     p_area.add_argument("--family", action="append", required=True,
-                        help="identity | rotation:phi | mobius:a | shear:c | random:seeds:roughness | step:j1,j2@v1,v2")
+                        help=" | ".join(family.spec for family in FAMILIES.values()))
     p_area.add_argument("--r", required=True, help="comma-separated radii in (0, 0.97]")
     p_area.add_argument("--method", default="green-spectral",
                         help="comma-separated: " + ",".join(METHODS))
@@ -97,6 +97,9 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     return parser
+
+
+_PARSER = build_parser()  # built once per process: building costs about ten parses
 
 
 def _emit(rows: list[dict], columns, args):
@@ -205,9 +208,8 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "area":
             return _cmd_area(args)
         if args.command == "verify":

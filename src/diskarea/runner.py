@@ -23,12 +23,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import proof_checks, verify
-from .area import GREEN_SPECTRAL, METHODS, estimate_area, family_boundary_map, family_coeffs
+from .area import FAMILIES, GREEN_SPECTRAL, METHODS, build_family, estimate_area, family_coeffs, family_parameter
 from .circle_maps import (
     TWO_PI,
     BoundaryMap,
     conjugate_map,
-    make_identity,
     make_random_homeomorphism,
     make_rotation,
     make_step_map,
@@ -102,11 +101,6 @@ class FamilyInstance:
     param: object = None
 
 
-_PARAM_NAMES = {"rotation": "phi", "mobius": "a", "shear": "c"}
-# the numbers of colon-separated parameters each family's spec may have
-_SPEC_PARAMS = {"identity": (0,), "rotation": (1,), "mobius": (1,), "shear": (1,), "step": (1,), "random": (1, 2)}
-
-
 def parse_seed_range(text: str) -> list[int]:
     """``n`` or the inclusive range ``lo..hi``; an empty range is a usage error."""
     if ".." in text:
@@ -118,26 +112,17 @@ def parse_seed_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def parse_family(spec: str) -> list[FamilyInstance]:
-    """Expand one family spec into concrete map instances."""
-    parts = spec.split(":")
-    name = parts[0]
-    if name not in _SPEC_PARAMS:
+def parse_family(spec: str, form: str | None = None) -> list[FamilyInstance]:
+    """Expand one family spec into concrete map instances.  A closed-form family's source is
+    its ``form`` builder in ``area.FAMILIES``: by default its boundary map, else its coefficients."""
+    name, *fields = spec.split(":")
+    if name not in FAMILIES:
         raise ConfigError(f"unknown family {name!r}")
-    if len(parts) - 1 not in _SPEC_PARAMS[name]:
-        counts = " or ".join(map(str, _SPEC_PARAMS[name]))
-        raise ConfigError(f"bad family spec {spec!r}: {name} takes {counts} parameter(s)")
     try:
-        if name == "identity":
-            return [FamilyInstance("identity", "", "identity", family_boundary_map("identity"))]
-        if name in _PARAM_NAMES:
-            param = float(parts[1]) if name == "rotation" else complex(parts[1])
-            # shear is not unimodular on the circle, so it is given by coefficients
-            source = family_coeffs(name, param) if name == "shear" else family_boundary_map(name, param)
-            return [FamilyInstance(name, f"{_PARAM_NAMES[name]}={parts[1]}", spec, source, param)]
+        param = family_parameter(name, fields)
         if name == "random":
-            seeds = parse_seed_range(parts[1])
-            roughness = float(parts[2]) if len(parts) > 2 else 0.5
+            seeds = parse_seed_range(fields[0])
+            roughness = float(fields[1]) if len(fields) > 1 else 0.5
             return [
                 FamilyInstance(
                     "random",
@@ -147,11 +132,15 @@ def parse_family(spec: str) -> list[FamilyInstance]:
                 )
                 for s in seeds
             ]
-        # step, the one family left
-        jumps_text, values_text = parts[1].split("@", 1)
-        jumps = [float(x) for x in jumps_text.split(",")]
-        values = [float(x) for x in values_text.split(",")]
-        return [FamilyInstance("step", parts[1], spec, make_step_map(jumps, values))]
+        if name == "step":
+            jumps_text, values_text = fields[0].split("@", 1)
+            jumps = [float(x) for x in jumps_text.split(",")]
+            values = [float(x) for x in values_text.split(",")]
+            return [FamilyInstance("step", fields[0], spec, make_step_map(jumps, values))]
+        entry = FAMILIES[name]
+        source = build_family(name, form or ("boundary" if entry.boundary else "coeffs"), param)
+        labels = ",".join(f"{label}={text}" for label, text in zip(entry.spec.split(":")[1:], fields))
+        return [FamilyInstance(name, labels, spec, source, param)]
     except ValueError as exc:
         raise ConfigError(f"bad family spec {spec!r}: {exc}") from exc
 
@@ -283,8 +272,8 @@ def run_equality_suite(config: SweepConfig):
 
 
 def _schwarz_corpus(config: SweepConfig):
-    yield FamilyInstance("identity", "", "identity", make_identity())
-    yield FamilyInstance("rotation", "phi=1", "rotation:1", make_rotation(1.0))
+    yield from parse_family("identity")
+    yield from parse_family("rotation:1")
     yield FamilyInstance(
         "step",
         "2-jump",
@@ -328,24 +317,20 @@ def run_schwarz_suite(config: SweepConfig):
 
 @_suite
 def run_boundary_suite(config: SweepConfig):
-    sources = [
-        FamilyInstance("identity", "", "identity", family_coeffs("identity")),
-        FamilyInstance("rotation", "phi=1", "rotation:1", family_coeffs("rotation", 1.0)),
-    ]
-    for a in (0.2, 0.4, 0.6):
-        sources.append(FamilyInstance("mobius", f"a={a}", f"mobius:{a}", family_coeffs("mobius", a)))
-    for inst in sources:
+    for spec in ("identity", "rotation:1", "mobius:0.2", "mobius:0.4", "mobius:0.6"):
+        (inst,) = parse_family(spec, "coeffs")
         rec = verify.boundary_jacobian_integral(inst.source, map_id=inst.map_id)
         yield rec, inst.family, inst.params
 
 
 # The convexity suite's holomorphic series c_1..c_N, each certified univalent
 # by verify.univalence_margin before it is used.
+_MOBIUS = family_coeffs("mobius", 0.4)
 HOLOMORPHIC_SERIES = {
     "identity": [1.0],
     "rotation:1": [np.exp(1j)],
     "perturbed": [1.0, 0.1],
-    "mobius:0.4": family_coeffs("mobius", 0.4).coeffs[65:],  # c_1..c_64 of the order-64 series
+    "mobius:0.4": _MOBIUS.coeffs[_MOBIUS.order + 1 :],  # c_1..c_N of the series of order N
 }
 
 

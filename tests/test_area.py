@@ -89,12 +89,46 @@ class TestExactFamilies:
             da.exact_family_area("mobius", 0.5, 1.2)
         with pytest.raises(ValueError):
             da.exact_family_area("identity", 1.0)
-        for family in ("shear", "mobius"):
-            for param in (math.nan, complex(0.1, math.nan), math.inf):
-                with pytest.raises(ValueError):
-                    da.exact_family_area(family, 0.5, param)
-                with pytest.raises(ValueError):
-                    da.family_coeffs(family, param)
+        builders = {
+            "coeffs": da.family_coeffs,
+            "area": lambda family, *param: da.exact_family_area(family, 0.5, *param),
+            "boundary": lambda family, *param: area.build_family(family, "boundary", *param),
+        }
+        # every closed-form family's builders run its one parser: a non-finite
+        # parameter, a missing one and an extra one all raise ValueError
+        for family in ("identity", "rotation", "shear", "mobius"):
+            for form, build in builders.items():
+                for param in (math.nan, complex(0.1, math.nan), math.inf, -math.inf):
+                    if family == "rotation" and isinstance(param, complex):
+                        continue  # an angle is real; float() of a complex raises TypeError
+                    with pytest.raises(ValueError):
+                        build(family, param)
+                if family == "identity":
+                    with pytest.raises(ValueError, match="identity takes 0 parameter"):
+                        build(family, 0.3)
+                else:
+                    with pytest.raises(ValueError, match=f"{family} takes 1 parameter"):
+                        build(family)
+        with pytest.raises(ValueError, match="omega must have unit modulus"):
+            da.family_coeffs("rotation", math.nan)
+        for family in ("random", "step", "bogus"):
+            with pytest.raises(ValueError):
+                da.family_coeffs(family, 0.1)
+
+    # repr literals of the closed forms: each keeps its arithmetic to the last bit
+    # (pi * radius ** 2 in place of pi * radius * radius moves both Mobius rows by 1 ulp)
+    PINNED = {
+        ("identity", None): (0.7853981633974483, 2.5446900494077327),
+        ("rotation", 1.0): (0.7853981633974483, 2.5446900494077327),
+        ("mobius", 0.3): (0.6806739559363708, 2.451684120007416),
+        ("mobius", 0.2 - 0.1j): (0.7268802742803493, 2.4945496023995024),
+        ("shear", 0.3): (0.7500552460445631, 2.173674240204085),
+    }
+
+    @pytest.mark.parametrize("family, param", sorted(PINNED, key=str))
+    def test_closed_forms_bit_for_bit(self, family, param):
+        got = tuple(da.exact_family_area(family, r, param).value for r in (0.5, 0.9))
+        assert got == self.PINNED[family, param]
 
 
 class TestGreenSpectral:
@@ -270,7 +304,7 @@ class TestJacobianAngles:
     @pytest.mark.parametrize("source, arg", DERIVED_GRID_SERIES)
     def test_derived_grid_matches_512_angles(self, request, source, arg, r):
         # det Df is exact in angle on both grids, so only rounding moves
-        if source in area.CLOSED_FORM_FAMILIES:
+        if source in area.FAMILIES:
             coeffs = da.family_coeffs(source, arg)
         else:
             coeffs = da.fourier_from_boundary(request.getfixturevalue(source), order=arg)

@@ -113,7 +113,9 @@ class TestAreaCommand:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["area", "--help"])
         # argparse may wrap the list at a hyphen
-        assert ",".join(da.METHODS) in "".join(capsys.readouterr().out.split())
+        out = "".join(capsys.readouterr().out.split())
+        assert ",".join(da.METHODS) in out
+        assert "|".join(family.spec for family in da.area.FAMILIES.values()) in out
 
     def test_usage_error_on_missing_args(self, capsys):
         code, _, _ = run_cli(capsys, "area", "--family", "identity")

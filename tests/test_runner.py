@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import diskarea as da
-from diskarea import area, poisson, proof_checks, runner, verify
+from diskarea import area, cli, poisson, proof_checks, runner, verify
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +64,42 @@ class TestFamilyParsing:
                      "random:0:0.5:9", "random"):
             with pytest.raises(runner.ConfigError):
                 runner.parse_family(spec)
+
+
+class TestFamilyTable:
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        """One entry of area.FAMILIES, and its named builders: z + b conj(z), of image area pi r^2 (1 - b^2)."""
+        monkeypatch.setattr(area, "_toy_b", float, raising=False)
+        monkeypatch.setattr(area, "_toy_coeffs", lambda b: da.FourierCoeffs.from_dict({1: 1.0, -1: b}), raising=False)
+        monkeypatch.setattr(area, "_toy_area", lambda r, b: math.pi * r * r * (1.0 - b * b), raising=False)
+        entry = area.MapFamily("toy:b", (1,), "_toy_b", "_toy_coeffs", None, "_toy_area")
+        monkeypatch.setitem(area.FAMILIES, "toy", entry)
+
+    def test_one_entry_adds_a_family(self, toy, capsys):
+        (inst,) = runner.parse_family("toy:0.1")
+        assert (inst.family, inst.params, inst.map_id, inst.param) == ("toy", "b=0.1", "toy:0.1", 0.1)
+        assert isinstance(inst.source, da.FourierCoeffs)
+        code = cli.main(["area", "--family", "toy:0.1", "--r", "0.5", "--method", "exact,green-spectral",
+                         "--format", "jsonl"])
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert [(row["map_id"], row["method"]) for row in rows] == [("toy:0.1", "exact"), ("toy:0.1", "green-spectral")]
+        assert rows[0]["value"] == math.pi * 0.25 * 0.99
+        assert abs(rows[1]["value"] - rows[0]["value"]) < 1e-15
+        # the command line's parser is built at import; a fresh one reads the table as it is now
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["area", "--help"])
+        assert "toy:b" in capsys.readouterr().out
+        with pytest.raises(da.HypothesisViolationError, match=r"\(identity, rotation, shear, mobius, toy\)"):
+            da.estimate_area(runner.parse_family("random:0")[0], 0.5, "exact")
+
+    def test_builders_are_looked_up_when_called(self, monkeypatch):
+        calls = []
+        real = area.make_mobius_boundary
+        monkeypatch.setattr(area, "make_mobius_boundary", lambda a: calls.append(a) or real(a))
+        (inst,) = runner.parse_family("mobius:0.3")
+        assert calls == [0.3] and inst.source.kind == da.HOMEOMORPHISM
 
 
 class TestSweepConfig:
