@@ -10,7 +10,6 @@ so they converge spectrally.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -146,7 +145,7 @@ class UniformGrid:
         return self.shift + np.arange(self.n_theta) * (TWO_PI / self.n_theta)
 
 
-def _series(c, n0, rho, theta):
+def _series(c, n0, rho, theta, power_table=None):
     """Truncated series sum_n c_n rho^|n| e^{i n theta} at every (rho, theta).
 
     ``c[..., i]`` is the coefficient of index n0 + i; leading axes of ``c``
@@ -155,7 +154,10 @@ def _series(c, n0, rho, theta):
     shift is that angle.  The result has shape ``c.shape[:-1] + rho.shape``
     followed by ``(n_theta,)`` for a grid and by ``theta.shape`` otherwise.
     ``rho`` is not range-checked: the public callers check it, and a
-    polynomial may be evaluated on the unit circle.
+    polynomial may be evaluated on the unit circle.  ``power_table``, if
+    given, is the :func:`_power_table` of ``rho`` up to at least the largest
+    |n|; the radial powers are read from it instead of being taken again,
+    with the same values bit for bit.
 
     On theta_k = shift + 2 pi k / T, e^{i n theta_k} = e^{i n shift} w^{nk}
     with w = e^{2 pi i / T}, and w^{nk} depends on n only through n mod T, so
@@ -191,7 +193,7 @@ def _series(c, n0, rho, theta):
     lead, n_terms = c.shape[:-1], c.shape[-1]
     ns = n0 + np.arange(n_terms)
     shifted = c[..., None, :] * np.exp(1j * np.multiply.outer(shift.ravel(), ns))
-    powers = _radial_powers(rho, ns, c)
+    powers = _radial_powers(rho, ns, c, power_table)
     if isinstance(theta, UniformGrid) and n_terms <= n_theta < powers.shape[0]:
         roots = np.exp(1j * (TWO_PI / n_theta) * np.arange(n_theta))
         table = roots[np.multiply.outer(ns % n_theta, np.arange(n_theta)) % n_theta]
@@ -207,51 +209,25 @@ def _series(c, n0, rho, theta):
     return out if out.ndim else complex(out)
 
 
-# While a _sharing_powers block runs: the radii it was opened for and their
-# table rho^k; None outside every block.
-_shared_powers = None
-
-
-@contextlib.contextmanager
-def _sharing_powers(rho, top):
-    """Within the block, every series evaluated on the radii ``rho`` (this
-    array object) whose largest |n| is ``top`` reads one table of rho^k,
-    k = 0 .. top, instead of taking the powers again.
-
-    The table is built on entry and dropped on exit, so none outlives the
-    block.  It is the table each evaluation would build, so the values are
-    the same bit for bit.
-    """
-    global _shared_powers
-    outer = _shared_powers
-    _shared_powers = (rho, _power_table(rho, top))
-    try:
-        yield
-    finally:
-        _shared_powers = outer
-
-
 def _power_table(rho, top):
     """rho^k for every radius (rows) and k = 0 .. top (columns)."""
     return np.reshape(rho, (-1, 1)) ** np.arange(top + 1)
 
 
-def _radial_powers(rho, ns, c):
+def _radial_powers(rho, ns, c, power_table=None):
     """rho^|n| for every radius (rows) and index n of ``ns`` (columns).
 
-    One power is computed per |n|, since a two-sided series needs each of
-    them twice, or none inside a :func:`_sharing_powers` block for these
-    radii and this largest |n|.  A power whose term rho^|n| * max |c_n| over
-    the stacked series ``c`` falls below the smallest normal double is set
-    to zero: it cannot change a sum that is a normal number, and subnormal
+    The powers are gathered from ``power_table``, the :func:`_power_table` of
+    these radii up to at least the largest |n|, if one is given, and otherwise
+    from a table built here with one power per |n|, since a two-sided series
+    needs each of them twice.  A power whose term rho^|n| * max |c_n| over the
+    stacked series ``c`` falls below the smallest normal double is set to
+    zero: it cannot change a sum that is a normal number, and subnormal
     operands take the CPU's slow path through every product that follows.
     """
-    top = np.max(np.abs(ns), initial=0)
-    shared = _shared_powers
-    if shared is not None and shared[0] is rho and shared[1].shape[1] == top + 1:
-        powers = shared[1][:, np.abs(ns)]
-    else:
-        powers = _power_table(rho, top)[:, np.abs(ns)]
+    if power_table is None:
+        power_table = _power_table(rho, np.max(np.abs(ns), initial=0))
+    powers = power_table[:, np.abs(ns)]
     scale = np.max(np.abs(c), axis=tuple(range(c.ndim - 1)), initial=0.0)
     powers[powers * scale < np.finfo(float).tiny] = 0.0
     return powers
@@ -283,14 +259,15 @@ def _fold(powers, shifted, n0, n_bins):
     return padded.reshape(shape + (rows, n_bins)).sum(axis=-2)
 
 
-def eval_harmonic(coeffs: FourierCoeffs, r, theta):
+def eval_harmonic(coeffs: FourierCoeffs, r, theta, *, _powers=None):
     """Harmonic extension sum c_n r^{|n|} e^{i n theta}.
 
     ``r`` is a radius or an array of radii, and ``theta`` an array of angles
     or a :class:`UniformGrid`; the result has the shape of ``r`` followed by
-    the shape of ``theta`` (``(n_theta,)`` for a grid).
+    the shape of ``theta`` (``(n_theta,)`` for a grid).  The private
+    ``_powers`` is passed on to :func:`_series` as its ``power_table``.
     """
-    return _series(coeffs.coeffs, -coeffs.order, _check_radius(r), theta)
+    return _series(coeffs.coeffs, -coeffs.order, _check_radius(r), theta, _powers)
 
 
 def wirtinger_on_circle(coeffs: FourierCoeffs, rho, thetas) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ bijectivity-only check, an uncentered map fed to the Schwarz bound).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,16 +27,18 @@ from .poisson import (
     FourierCoeffs,
     UniformGrid,
     _check_radius,
+    _power_table,
     _series,
-    _sharing_powers,
     eval_harmonic,
     eval_harmonic_step,
     fourier_from_boundary,
 )
 
 # The fixed resolutions of the checks: the Schwarz bound's polar grid, and the
-# order at which the flux check extracts the series of a boundary map.
+# order at which the flux check extracts the series of a boundary map.  The
+# radii are read-only, since the memoized table of their powers depends on them.
 _SCHWARZ_RADII = np.linspace(0.015, 0.96, 64)
+_SCHWARZ_RADII.setflags(write=False)
 _SCHWARZ_GRID = UniformGrid(64)
 _FLUX_ORDER = 256
 
@@ -112,11 +115,12 @@ def schwarz_bound(radii):
     return (4.0 / math.pi) * np.arctan(np.asarray(radii, dtype=float))
 
 
-def _sharing_schwarz_powers(order: int):
-    """A block within which the Schwarz checks of smooth maps at ``order``
-    share one table of the polar grid's radial powers (see
-    :func:`poisson._sharing_powers`); the checks' values are unchanged."""
-    return _sharing_powers(_SCHWARZ_RADII, order)
+@functools.lru_cache(maxsize=1)
+def _schwarz_powers(order: int) -> np.ndarray:
+    """The Schwarz grid's radial powers rho^k, k = 0 .. order, read-only; the latest order's table is kept."""
+    table = _power_table(_SCHWARZ_RADII, order)
+    table.setflags(write=False)
+    return table
 
 
 def schwarz_bound_check(bmap: BoundaryMap, map_id: str = "", order: int = 512) -> VerdictRecord:
@@ -134,7 +138,7 @@ def schwarz_bound_check(bmap: BoundaryMap, map_id: str = "", order: int = 512) -
     else:
         coeffs = fourier_from_boundary(bmap, order=order)
         center = coeffs.coeff(0)
-        vals = eval_harmonic(coeffs, _SCHWARZ_RADII, _SCHWARZ_GRID)
+        vals = eval_harmonic(coeffs, _SCHWARZ_RADII, _SCHWARZ_GRID, _powers=_schwarz_powers(order))
         resolution = order
     if abs(center) > 1e-10:
         raise HypothesisViolationError(f"map is not centered: |f(0)| = {abs(center):.3e}")

@@ -499,41 +499,18 @@ class TestFoldBits:
         assert peak < 2.4e6
 
 
-class TestSharedPowers:
-    RADII = np.linspace(0.01, 0.95, 9)
-
-    def test_block_gives_the_same_powers(self, mollified_map):
-        coeffs = da.fourier_from_boundary(mollified_map, order=40)
-        ns = coeffs.indices
-        want = poisson._radial_powers(self.RADII, ns, coeffs.coeffs)
-        with poisson._sharing_powers(self.RADII, 40):
-            shared = poisson._shared_powers[1]
-            assert np.array_equal(poisson._radial_powers(self.RADII, ns, coeffs.coeffs), want)
-            # the shared table is read, never written
-            assert np.array_equal(shared, poisson._power_table(self.RADII, 40))
-        assert poisson._shared_powers is None
-
-    def test_only_the_same_radii_and_top_read_the_table(self, mollified_map, monkeypatch):
-        coeffs = da.fourier_from_boundary(mollified_map, order=40)
-        with poisson._sharing_powers(self.RADII, 40):
-            built = []
-            build = poisson._power_table
-            monkeypatch.setattr(poisson, "_power_table", lambda rho, top: built.append(top) or build(rho, top))
-            poisson._radial_powers(self.RADII, coeffs.indices, coeffs.coeffs)
-            assert built == []
-            poisson._radial_powers(self.RADII.copy(), coeffs.indices, coeffs.coeffs)
-            poisson._radial_powers(self.RADII, coeffs.indices[10:-10], coeffs.coeffs[10:-10])
-            assert built == [40, 30]
-
-    def test_blocks_nest_and_unwind_on_error(self):
-        with pytest.raises(RuntimeError):
-            with poisson._sharing_powers(self.RADII, 4):
-                outer = poisson._shared_powers
-                with poisson._sharing_powers(self.RADII, 8):
-                    assert poisson._shared_powers[1].shape == (9, 9)
-                assert poisson._shared_powers is outer
-                raise RuntimeError
-        assert poisson._shared_powers is None
+class TestPowerTable:
+    @pytest.mark.parametrize("order", [16, 512])
+    def test_given_table_gives_the_same_values(self, mollified_map, order):
+        # the Schwarz check hands its grid's table to the series; a read-only
+        # table shows that the gather never writes into it
+        coeffs = da.fourier_from_boundary(mollified_map, order=order)
+        radii, grid = verify._SCHWARZ_RADII, verify._SCHWARZ_GRID
+        table = poisson._power_table(radii, order)
+        table.setflags(write=False)
+        want = poisson._series(coeffs.coeffs, -order, radii, grid)
+        got = poisson._series(coeffs.coeffs, -order, radii, grid, table)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWirtinger:

@@ -1,9 +1,7 @@
 import collections
-import gc
 import json
 import math
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -282,32 +280,46 @@ class TestSuites:
             assert sum(times) <= elapsed_ms + 0.0005 * len(rows) + 1e-9
             assert sum(times) > 0.0
 
-    def test_no_power_table_outlives_the_schwarz_suite(self, monkeypatch):
-        tables = []
+    def test_schwarz_suite_builds_one_power_table_per_order(self, monkeypatch):
+        built = []
         build = poisson._power_table
 
         def recording(rho, top):
-            table = build(rho, top)
-            tables.append(weakref.ref(table))
-            return table
+            built.append(top)
+            return build(rho, top)
 
-        monkeypatch.setattr(poisson, "_power_table", recording)
-        config = runner.SweepConfig(radii=[0.5], seeds=[0, 1, 2], order=64)
-        rows = runner.run_schwarz_suite(config)
-        # the identity, the rotation and three random maps read one table; the step maps none
-        assert len(tables) == 1
-        assert poisson._shared_powers is None
-        gc.collect()
-        assert tables[0]() is None
-        # each record is the one the check gives outside the suite
-        smooth = [inst for inst in runner._schwarz_corpus(config) if inst.family != "step"]
-        for inst in smooth:
-            rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, order=64)
-            (row,) = [row for row in rows if row["map_id"] == inst.map_id]
-            assert row["lhs"] == rec.lhs and row["passed"] == "true"
+        verify._schwarz_powers.cache_clear()
+        for order in (64, 512):
+            config = runner.SweepConfig(radii=[0.5], seeds=[0, 1, 2], order=order)
+            with monkeypatch.context() as patch:
+                # verify builds the memoized table; poisson builds any table it is not given
+                patch.setattr(verify, "_power_table", recording)
+                patch.setattr(poisson, "_power_table", recording)
+                runner.run_schwarz_suite(config)
+                rows = runner.run_schwarz_suite(config)
+            assert not verify._schwarz_powers(order).flags.writeable
+            # each record is the one the check gives when the series builds its own powers
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_schwarz_powers", lambda order: None)
+                for inst in runner._schwarz_corpus(config):
+                    if inst.family != "step":
+                        rec = verify.schwarz_bound_check(inst.source, map_id=inst.map_id, order=order)
+                        (row,) = [row for row in rows if row["map_id"] == inst.map_id]
+                        assert row["lhs"] == rec.lhs and row["passed"] == "true"
+        # over two runs at each order, the identity, the rotation and three
+        # random maps read one table per order; the step maps read none
+        assert built == [64, 512]
 
-    def test_schwarz_power_table_dropped_on_error(self, monkeypatch):
-        # an uncentered map stops the suite inside the block
+    def test_schwarz_suite_builds_each_step_map_once(self, monkeypatch):
+        # the sharpness row reads the corpus's two-jump map
+        built = []
+        make = runner.make_step_map
+        monkeypatch.setattr(runner, "make_step_map", lambda jumps, values: built.append(jumps) or make(jumps, values))
+        rows = runner.run_schwarz_suite(runner.SweepConfig(radii=[0.5], seeds=[0], order=32))
+        assert len(built) == 2
+        assert [row["map_id"] for row in rows if row["check_name"] == "schwarz-sharpness"] == ["step:2jump"]
+
+    def test_uncentered_map_stops_the_schwarz_suite(self, monkeypatch):
         corpus = runner._schwarz_corpus
 
         def with_uncentered(config):
@@ -317,7 +329,6 @@ class TestSuites:
         monkeypatch.setattr(runner, "_schwarz_corpus", with_uncentered)
         with pytest.raises(da.HypothesisViolationError, match="not centered"):
             runner.run_schwarz_suite(runner.SweepConfig(radii=[0.5], seeds=[0], order=32))
-        assert poisson._shared_powers is None
 
     def test_mirror_pair_checked_once_per_capped_radius(self, monkeypatch):
         checked = []

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import diskarea as da
-from diskarea import runner
+from diskarea import runner, verify
 
 import oracles
 
@@ -108,6 +108,11 @@ class TestSchwarzBound:
         # lift 0 on a quarter of the circle and pi/2 on the rest: f(0) = (1 + 3i) / 4
         with pytest.raises(da.HypothesisViolationError):
             da.schwarz_bound_check(da.make_step_map([0.0, math.pi / 2], [0.0, math.pi / 2]))
+
+    def test_grid_radii_are_read_only(self):
+        # the memoized table of the grid's radial powers is a function of them
+        with pytest.raises(ValueError):
+            verify._SCHWARZ_RADII[0] = 0.5
 
 
 class TestBoundaryFlux:
