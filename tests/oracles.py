@@ -4,7 +4,8 @@ Each one checks a statement the library relies on by a slow, direct route:
 trapezoid quadrature of the kernel integrals, checked against their closed
 forms, plain lift arithmetic for the increment identities, full meshgrids
 for the proof suite's grid checks, the series fold through a copied array
-of its terms, and the random lift drawn one row at a time.  None of them
+of its terms, the random lift drawn one row at a time, and the circular
+convolution of the dense pair sum taken in one call over all lags.  None of them
 feeds a report row, so they live here and not in ``diskarea``.
 """
 
@@ -185,3 +186,11 @@ def random_lift_one_row(seed: int, n_cells: int, roughness: float, half_turn_sym
     lift *= TWO_PI / lift[-1]
     lift[-1] = TWO_PI
     return lift
+
+
+def circular_convolve_whole(kernel_row, v):
+    """The circular convolution of :func:`diskarea.pair_sums._circular_convolve`
+    as one 'valid' ``np.convolve`` over all M lags: v[1:] followed by v reads v
+    circularly from index 1.  The lag-blocked library form must give the same
+    bits while M is at most one block."""
+    return np.convolve(np.concatenate((v[1:], v)), kernel_row, "valid")

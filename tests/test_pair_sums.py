@@ -9,6 +9,8 @@ import diskarea as da
 from diskarea import pair_sums
 from diskarea.area import _kernel_value
 
+import oracles
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -22,9 +24,22 @@ def _inputs(seed, m, degree=1):
 
 
 def _sin_pair_sum_reference(kern, xi):
+    """Pair by pair, 256 rows j at a time, so that large M stays small in memory."""
     m = xi.size
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    return float(np.sum(kern[idx] * np.sin(xi[:, None] - xi[None, :])))
+    ks = np.arange(m)[None, :]
+    total = 0.0
+    for start in range(0, m, 256):
+        js = np.arange(start, min(start + 256, m))[:, None]
+        total += float(np.sum(kern[(js - ks) % m] * np.sin(xi[js] - xi[ks])))
+    return total
+
+
+def _circular_convolve_reference(kern, v):
+    """(K * v)[j] = sum over d of K[d] * v[(j - d) mod M], one lag at a time."""
+    out = np.zeros(v.size)
+    for d in range(v.size):
+        out += kern[d] * np.roll(v, d)
+    return out
 
 
 def _gap_pair_sums_reference(kern, alphas, lift2):
@@ -43,7 +58,8 @@ def _gap_pair_sums_reference(kern, alphas, lift2):
 class TestNumpyFallback:
     """The pair sums against dense and loop references."""
 
-    @pytest.mark.parametrize("m", [8, 64, 300])
+    # above 2048 the dense sum runs in lag blocks; 5000 ends in a shorter one
+    @pytest.mark.parametrize("m", [8, 64, 300, 2049, 4096, 5000])
     def test_sin_pair_sum_against_dense_reference(self, m):
         kern, _, xi, _ = _inputs(m, m)
         got = pair_sums.sin_pair_sum(kern, xi)
@@ -64,6 +80,12 @@ class TestNumpyFallback:
         got_cos, got_gap = pair_sums.gap_pair_sums(kern, alphas, lift2)
         assert abs(got_cos - cos_ref) < 1e-10
         assert abs(got_gap - gap_ref) < 1e-10
+
+    def test_empty_input(self):
+        # no samples, no pairs: both forms of the area sum and the gap sums are empty sums
+        assert pair_sums.sin_pair_sum([], []) == 0.0
+        assert pair_sums.sin_pair_sum_fft([], []) == 0.0
+        assert pair_sums.gap_pair_sums([], [], []) == (0.0, 0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -109,7 +131,7 @@ class TestDenseSinPairSum:
         for _ in range(20):
             assert pair_sums.sin_pair_sum(rng.standard_normal(2), rng.uniform(-20.0, 20.0, 2)) == 0.0
 
-    @pytest.mark.parametrize("m", [5, 64, 513, 1024])
+    @pytest.mark.parametrize("m", [5, 64, 513, 1024, 4097])
     def test_even_kernel_exactly_zero(self, m):
         rng = np.random.default_rng(m)
         half = rng.standard_normal(m)
@@ -127,8 +149,9 @@ class TestDenseSinPairSum:
         want = _sin_pair_sum_reference(kern, xi)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_never_uses_the_fft(self, monkeypatch):
-        kern, _, xi, _ = _inputs(5, 257)
+    @pytest.mark.parametrize("m", [257, 4097])
+    def test_never_uses_the_fft(self, monkeypatch, m):
+        kern, _, xi, _ = _inputs(5, m)
         want = _sin_pair_sum_reference(kern, xi)
 
         def forbidden(*args, **kwargs):
@@ -151,6 +174,26 @@ class TestDenseSinPairSum:
             kbuf[k_off : k_off + m] = kern
             xbuf[x_off : x_off + m] = xi
             assert pair_sums.sin_pair_sum(kbuf[k_off : k_off + m], xbuf[x_off : x_off + m]) == first
+
+
+class TestLagBlocks:
+    """The circular convolution of the dense sum, taken in blocks of lags."""
+
+    @pytest.mark.parametrize("m", [1, 2, 2048, 2049, 5000, 6144])
+    def test_matches_dense_circular_convolution(self, m):
+        # 2049 leaves one lag for the last block, 5000 a ragged one, 6144 three full blocks
+        rng = np.random.default_rng(m)
+        kern, v = rng.standard_normal(m), rng.standard_normal(m)
+        got = pair_sums._circular_convolve(kern, v)
+        want = _circular_convolve_reference(kern, v)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(kern)) * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1024, pair_sums._LAG_BLOCK])
+    def test_one_block_is_the_whole_convolution(self, m):
+        rng = np.random.default_rng(100 + m)
+        kern, v = rng.standard_normal(m), rng.standard_normal(m)
+        assert np.array_equal(pair_sums._circular_convolve(kern, v), oracles.circular_convolve_whole(kern, v))
 
 
 class TestFFTAgainstDense:
