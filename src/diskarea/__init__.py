@@ -44,6 +44,7 @@ from .circle_maps import (
 )
 from .poisson import (
     FourierCoeffs,
+    NumericalFailureError,
     UniformGrid,
     eval_harmonic,
     eval_harmonic_step,

@@ -2,12 +2,18 @@
 
 Five estimators are provided: the boundary-flux (Green) formula as a sum
 over Fourier coefficients, the same formula by trapezoid quadrature of the
-Poisson integral of the boundary samples (no coefficients), a direct O(M^2)
-double sum of the antisymmetric pair kernel against sin of lift differences,
-an FFT rearrangement of the same finite sum costing O(M log M), and midpoint
-integration of the Jacobian determinant on a polar grid.  Closed forms for
-the exact test families round out the set.  All values are absolute areas:
-the identity at radius r gives pi * r^2.
+Poisson integral of the boundary samples (no coefficients), the double sum
+of the antisymmetric pair kernel against sin of lift differences, twice, and
+midpoint integration of the Jacobian determinant on a polar grid.  Closed
+forms for the exact test families round out the set.  All values are
+absolute areas: the identity at radius r gives pi * r^2.
+
+The two kernel routes reassociate the double sum over the lag into the
+sine lag sums of the lift, taken by direct O(M^2) summation
+(``kernel-direct``) or by FFT in O(M log M) (``kernel-fft``).  Only the
+kernel row depends on r, so each route keeps the lag sums of the latest
+maps per sample count (:func:`_lift_lag_sums`), and a further radius of a
+map costs one O(M) dot.
 
 :data:`REGISTRY` is the one table of these methods, and
 :func:`estimate_area` the one way to run a method by name.
@@ -15,6 +21,7 @@ the identity at radius r gives pi * r^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -174,31 +181,68 @@ def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) ->
 def _kernel_value(bmap: BoundaryMap, r: float, m: int, pair_sum) -> float:
     """Trapezoid sum of the pair kernel against the lift on m samples.
 
-    ``pair_sum`` is :func:`pair_sums.sin_pair_sum` or :func:`pair_sums.sin_pair_sum_fft`.
+    ``pair_sum`` is :func:`pair_sums.sin_pair_sum` or :func:`pair_sums.sin_pair_sum_fft`,
+    which take the lag sums afresh; the estimators read them from :func:`_lift_lag_sums`.
     """
     t = np.arange(m) * (TWO_PI / m)
     return (math.pi / (m * m)) * pair_sum(area_kernel(r, t), eval_lift(bmap, t))
 
 
-def _kernel_estimate(bmap: BoundaryMap, r: float, n_samples: int | None, pair_sum, method: str) -> AreaEstimate:
+# Each kernel route's sine lag sums of a lift and the dot of a kernel row with
+# them, as in its pair sum; both are in pair_sums and named for the reason
+# REGISTRY gives.
+_KERNEL_ROUTES = {
+    KERNEL_DIRECT: ("_direct_sine_lag_sums", "_odd_lag_dot"),
+    KERNEL_FFT: ("_sine_lag_sums", "_lag_dot"),
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _lift_lag_sums(bmap: BoundaryMap, m: int, method: str) -> np.ndarray:
+    """The sine lag sums of ``bmap``'s lift on m samples by ``method``'s route, read-only.
+
+    Only the kernel row depends on r, so the radii of one map read one entry
+    per sample count and route; 8 entries hold both sample counts of both
+    routes for two maps.  A BoundaryMap is immutable and hashed by identity.
+    The FFT route's sums stay the strided view its pair sum dots with: a
+    contiguous copy would make ``np.dot`` round differently.
+    """
+    t = np.arange(m) * (TWO_PI / m)
+    sums = getattr(pair_sums, _KERNEL_ROUTES[method][0])(eval_lift(bmap, t))
+    sums.setflags(write=False)
+    return sums
+
+
+def _route_value(bmap: BoundaryMap, r: float, m: int, method: str) -> float:
+    """:func:`_kernel_value` by ``method``'s pair sum, bit for bit, from the kept lag sums."""
+    t = np.arange(m) * (TWO_PI / m)
+    dot = getattr(pair_sums, _KERNEL_ROUTES[method][1])
+    return (math.pi / (m * m)) * dot(area_kernel(r, t), _lift_lag_sums(bmap, m, method))
+
+
+def _kernel_estimate(bmap: BoundaryMap, r: float, n_samples: int | None, method: str) -> AreaEstimate:
     r = _check_radius(r, allow_zero=False)
     m = kernel_sample_count(r) if n_samples is None else int(n_samples)
     if m < 2:
         raise ValueError("kernel quadrature needs n_samples >= 2")
-    full = _kernel_value(bmap, r, m, pair_sum)
-    half = _kernel_value(bmap, r, m // 2, pair_sum)
+    full = _route_value(bmap, r, m, method)
+    half = _route_value(bmap, r, m // 2, method)
     return AreaEstimate(full, method, m, abs(full - half))
 
 
 def area_kernel_direct(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
-    """O(M^2) double trapezoid sum of (1/4pi) K(s - t) sin(lift(s) - lift(t))."""
-    return _kernel_estimate(bmap, r, n_samples, pair_sums.sin_pair_sum, KERNEL_DIRECT)
+    """O(M^2) double trapezoid sum of (1/4pi) K(s - t) sin(lift(s) - lift(t)).
+
+    The value of :func:`pair_sums.sin_pair_sum`; the map's direct lag sums
+    are taken once per sample count and kept for its other radii.
+    """
+    return _kernel_estimate(bmap, r, n_samples, KERNEL_DIRECT)
 
 
 def area_kernel_fft(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
-    """Same finite sum as :func:`area_kernel_direct`, reassociated over the lag
-    j - k into the circular sine lag sums of the lift; O(M log M)."""
-    return _kernel_estimate(bmap, r, n_samples, pair_sums.sin_pair_sum_fft, KERNEL_FFT)
+    """Same finite sum as :func:`area_kernel_direct`, with the lift's circular
+    sine lag sums taken by FFT, O(M log M), and kept alike."""
+    return _kernel_estimate(bmap, r, n_samples, KERNEL_FFT)
 
 
 def _jacobian_value(coeffs: FourierCoeffs, r: float, n_rho: int, n_theta: int) -> float:

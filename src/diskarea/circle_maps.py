@@ -28,7 +28,7 @@ _MONO_TOL = 1e-12
 _UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMap:
     """Nondecreasing degree-one circle correspondence with unimodular prefactor.
 
@@ -37,7 +37,9 @@ class BoundaryMap:
     ``knots_lift[-1] == knots_lift[0] + 2*pi``.  Between knots the lift is
     interpolated linearly for kind ``homeomorphism`` and held constant
     (right-continuous) for kind ``nondecreasing-step``.  The first lift value
-    is normalized into ``[0, 2*pi)``.  Instances are immutable.
+    is normalized into ``[0, 2*pi)``.  Instances are immutable, their knot
+    arrays read-only.  Equality and hashing are by identity: two maps with
+    equal knots are distinct objects, and a map can key a cache.
     """
 
     knots_t: np.ndarray

@@ -2,8 +2,10 @@
 
 Exit codes: 0 all checks passed, 1 any check failed, 2 any check
 inconclusive, 64 usage error, 65 hypothesis violation (the input map is
-outside what the requested method or check is stated for), 73 the report
-file cannot be created.  Reports are CSV (default) or JSON lines; repeated
+outside what the requested method or check is stated for), 70 numerical
+failure (a computation on valid input broke an invariant it must keep, such
+as the unit power of the boundary coefficients), 73 the report file cannot
+be created.  Reports are CSV (default) or JSON lines; repeated
 runs of the same config are byte-identical apart from the wall-time column.
 The output directory for relative paths can be pinned with the
 DISKAREA_OUTDIR environment variable.
@@ -20,6 +22,7 @@ import time
 from . import pair_sums
 from .area import FAMILIES, KERNEL_DIRECT, KERNEL_FFT, METHODS, _kernel_value
 from .circle_maps import TWO_PI, make_random_homeomorphism, mollify_map
+from .poisson import NumericalFailureError
 from .runner import (
     AREA_COLUMNS,
     MOLLIFY_WIDTHS,
@@ -39,6 +42,7 @@ from .verify import HypothesisViolationError
 
 USAGE_EXIT = 64
 DATAERR_EXIT = 65
+SOFTWARE_EXIT = 70
 CANTCREAT_EXIT = 73
 
 
@@ -223,6 +227,9 @@ def main(argv=None) -> int:
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return DATAERR_EXIT
+    except NumericalFailureError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return SOFTWARE_EXIT
     except _CantCreateError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return CANTCREAT_EXIT

@@ -2,22 +2,26 @@
 of the kernel-weighted tangent gap.
 
 Both sums pair a kernel row K[d], indexed by the circular lag d = j - k, with
-the sine of lift differences.  ``gap_pair_sums`` and ``sin_pair_sum_fft``
-reduce that part to the circular sine lag sums of :func:`_sine_lag_sums`,
-which cost O(M log M).  ``sin_pair_sum`` is the dense O(M^2) form of the area
-sum; it is the ``kernel-direct`` area estimator and the oracle the FFT path
-is checked against.  The pairs (j, k) and (k, j) have opposite sines, so only
-the odd part of the kernel row contributes; expanding sin(xi_j - xi_k) into
-sines and cosines of single samples, the sum is one circular convolution of
-that odd part with the cosines, taken by direct summation.  It shares nothing
-with the FFT path and needs O(M) memory.
+the sine of lift differences.  Summing over k first reassociates either sum
+over the lag: it is sum over d of K[d] S[d], with S[d] the sum over k of
+sin(xi[k + d] - xi[k]), the sine lag sums of the lift.  Only the kernel row
+depends on the radius, so the lag sums of one lift serve every radius.
 
-The direct convolution runs over blocks of at most ``_LAG_BLOCK`` lags and
+There are two routes to S.  ``gap_pair_sums`` and ``sin_pair_sum_fft`` take
+it from :func:`_sine_lag_sums`, one FFT autocorrelation, O(M log M).
+``sin_pair_sum``, the dense O(M^2) form of the area sum, takes it from
+:func:`_direct_sine_lag_sums` by direct summation: one circular correlation
+of the sines with the cosines, no FFT and O(M) memory.  It is the
+``kernel-direct`` area estimator and the oracle the FFT path is checked
+against, so it shares nothing with that path.  Its S is exactly odd,
+S[M - d] = -S[d], so the dot runs over the lags 1 .. (M - 1) // 2 against
+the kernel's odd part K[d] - K[M - d].
+
+The direct correlation runs over blocks of at most ``_LAG_BLOCK`` lags and
 adds one partial convolution per block.  Each output of a block is a dot
-product of at most 2048 terms, so the kernel slice and the window of cosines
-it reads (16 KiB each) stay in a 48 KiB L1 data cache; one dot over all M
-lags reads 16M bytes, 64 KiB at M = 4096.  Up to M = 2048 there is one
-block, the same single convolution with the same bits.
+product of at most 2048 terms, so the kernel slice and the window it reads
+(16 KiB each) stay in a 48 KiB L1 data cache; one dot over all M lags reads
+16M bytes, 64 KiB at M = 4096.
 """
 
 import numpy as np
@@ -56,18 +60,50 @@ def _circular_convolve(kernel_row, v):
     return out
 
 
+def _direct_sine_lag_sums(xi):
+    """The sine lag sums S of :func:`_sine_lag_sums`, by direct summation.
+
+    With s = sin(xi) and c = cos(xi), sin(xi[k + d] - xi[k]) = s[k + d] c[k]
+    - c[k + d] s[k], so S[d] = X[d] - X[(-d) mod M] for the circular
+    correlation X[d] = sum over k of s[k + d] c[k].  X is the circular
+    convolution of :func:`_circular_convolve` of the reversed cosines
+    c[(-k) mod M] with s: in lag blocks, no FFT and O(M) memory.  The
+    difference makes S exactly odd: S[0] == 0 and S[M - d] == -S[d].
+    """
+    xi = np.asarray(xi, dtype=float)
+    c = np.cos(xi)
+    x = _circular_convolve(np.concatenate((c[:1], c[:0:-1])), np.sin(xi))
+    return x - np.concatenate((x[:1], x[:0:-1]))
+
+
+def _lag_dot(kernel_row, lag_sums):
+    """sum over d of kernel_row[d] * lag_sums[d]."""
+    return float(np.dot(kernel_row, lag_sums))
+
+
+def _odd_lag_dot(kernel_row, lag_sums):
+    """:func:`_lag_dot` for exactly odd lag sums, lag_sums[M - d] == -lag_sums[d].
+
+    The lags d and M - d pair up, so the sum is the dot of the kernel's odd
+    part K[d] - K[M - d] with lag_sums[d] over d = 1 .. (M - 1) // 2; lag 0
+    and, for even M, lag M/2 add nothing.  An even kernel, K[d] == K[M - d],
+    gives exactly 0, and so does every kernel at M = 2.
+    """
+    half = (kernel_row.size - 1) // 2
+    odd = kernel_row[1 : half + 1] - kernel_row[:0:-1][:half]
+    return float(np.dot(odd, lag_sums[1 : half + 1]))
+
+
 def sin_pair_sum(kernel_row, xi):
     """sum over j,k of kernel_row[(j - k) mod M] * sin(xi[j] - xi[k]).
 
-    Dense O(M^2) direct sum.  Swapping j and k flips the sign of the sine, so
-    only the odd part of the kernel row counts: the sum is half the same sum
-    over odd[d] = K[d] - K[(-d) mod M], for any row K.  With s = sin(xi) and
-    c = cos(xi), sin(xi[j] - xi[k]) = s[j] c[k] - c[j] s[k], and as odd is
-    odd both products give the same sum, so the total is s . (odd * c) for
-    the circular convolution of :func:`_circular_convolve`: one convolution
-    in blocks of at most 2048 lags (a single block, with its bits, up to
-    M = 2048), M sines, M cosines and O(M) memory.  odd[0] is exactly 0, so
-    is every lag of an even kernel, and so is every lag at M = 2.
+    Dense O(M^2) direct sum, reassociated over the lag like
+    :func:`sin_pair_sum_fft`: :func:`_odd_lag_dot` of the row with the lag
+    sums of :func:`_direct_sine_lag_sums`, one circular correlation in
+    blocks of at most 2048 lags, M sines, M cosines and O(M) memory, never
+    an FFT.  Only the row depends on the radius; ``area`` keeps the lag sums
+    of a map for its further radii, and this function, which the benchmark
+    times, takes them afresh on every call.
     """
     kernel_row = np.ascontiguousarray(kernel_row, dtype=float)
     xi = np.ascontiguousarray(xi, dtype=float)
@@ -76,23 +112,21 @@ def sin_pair_sum(kernel_row, xi):
         raise ValueError("kernel_row and xi must have equal length")
     if m == 0:
         return 0.0
-    # K[(-d) mod M] for d = 0, 1, ..., M - 1 is K[0], K[M - 1], ..., K[1]
-    odd = kernel_row - np.concatenate((kernel_row[:1], kernel_row[:0:-1]))
-    return float(np.dot(np.sin(xi), _circular_convolve(odd, np.cos(xi))))
+    return _odd_lag_dot(kernel_row, _direct_sine_lag_sums(xi))
 
 
 def sin_pair_sum_fft(kernel_row, xi):
-    """The sum of :func:`sin_pair_sum`, reassociated over the lag d = j - k.
+    """The sum of :func:`sin_pair_sum`, with the lag sums of :func:`_sine_lag_sums`.
 
-    sum over d of kernel_row[d] * S[d] with S the sine lag sums of the lift;
-    O(M log M).  It is the pair sum of the ``kernel-fft`` area estimator.
+    :func:`_lag_dot` of the row with them; O(M log M).  It is the pair sum
+    of the ``kernel-fft`` area estimator.
     """
     kernel_row = np.asarray(kernel_row, dtype=float)
     if kernel_row.size != np.size(xi):
         raise ValueError("kernel_row and xi must have equal length")
     if kernel_row.size == 0:
         return 0.0
-    return float(np.dot(kernel_row, _sine_lag_sums(xi)))
+    return _lag_dot(kernel_row, _sine_lag_sums(xi))
 
 
 def gap_pair_sums(kernel_row, alphas, lift2):

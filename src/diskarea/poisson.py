@@ -91,11 +91,21 @@ class FourierCoeffs:
         return cls(c, order)
 
 
+class NumericalFailureError(ArithmeticError):
+    """A computation on valid input broke an invariant it must keep.
+
+    Not a ValueError: the input is not at fault, so the command line reports
+    it apart from usage errors.
+    """
+
+
 def fourier_from_boundary(bmap: BoundaryMap, order: int = 256, n_samples: int | None = None) -> FourierCoeffs:
     """DFT coefficients of the boundary function omega * exp(i * lift(t)).
 
     ``n_samples`` defaults to 4x oversampling of the truncation order, which
     keeps aliasing below the truncation error for the smooth corpus.
+    Unimodular samples carry unit power, so coefficients whose power exceeds
+    1 + 1e-9 raise NumericalFailureError.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -111,7 +121,7 @@ def fourier_from_boundary(bmap: BoundaryMap, order: int = 256, n_samples: int | 
     # unimodular boundary data: the full series carries unit power
     power = float(np.sum(np.abs(c) ** 2))
     if power > 1.0 + 1e-9:
-        raise ValueError(f"coefficient power {power} exceeds the unit-modulus bound")
+        raise NumericalFailureError(f"coefficient power {power} exceeds the unit-modulus bound")
     return FourierCoeffs(c, order)
 
 

@@ -407,6 +407,52 @@ class TestKernelMethods:
         assert est.value < math.pi * 0.25
 
 
+class TestKeptLagSums:
+    """The kernel estimators take a map's lag sums once per sample count and route."""
+
+    ROUTES = {"kernel-direct": "_direct_sine_lag_sums", "kernel-fft": "_sine_lag_sums"}
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Per route, the sample counts its lag sums were computed at; the cache starts empty."""
+        calls = {}
+        for method, name in self.ROUTES.items():
+            real = getattr(pair_sums, name)
+            sizes = calls[method] = []
+            monkeypatch.setattr(pair_sums, name, lambda xi, real=real, sizes=sizes: sizes.append(len(xi)) or real(xi))
+        area._lift_lag_sums.cache_clear()
+        yield calls
+        area._lift_lag_sums.cache_clear()
+
+    # 5000 runs the direct lag sums over several lag blocks, with a shorter last one
+    @pytest.mark.parametrize("m", [512, 5000])
+    def test_once_per_sample_count_for_every_radius(self, counted, mollified_map, m):
+        estimators = {"kernel-direct": da.area_kernel_direct, "kernel-fft": da.area_kernel_fft}
+        radii = (0.5, 0.9)
+        kept = {(method, r): est(mollified_map, r, m) for r in radii for method, est in estimators.items()}
+        assert counted == {method: [m, m // 2] for method in estimators}
+        for (method, r), got in kept.items():
+            area._lift_lag_sums.cache_clear()
+            fresh = estimators[method](mollified_map, r, m)
+            assert (got.value, got.error_indicator) == (fresh.value, fresh.error_indicator)
+        for method in estimators:
+            assert area._lift_lag_sums(mollified_map, m, method).flags.writeable is False
+
+    def test_kept_value_is_the_pair_sum_bit_for_bit(self, counted, mollified_map):
+        # the first radius fills the cache, the second reads it
+        for r in (0.9, 0.6):
+            for method, pair_sum in (("kernel-direct", pair_sums.sin_pair_sum), ("kernel-fft", pair_sums.sin_pair_sum_fft)):
+                est = da.estimate_area(mollified_map, r, method, resolution=2049)
+                assert est.value == area._kernel_value(mollified_map, r, 2049, pair_sum)
+        # the estimates take 2049 and 1024 once; each pair sum takes 2049 afresh
+        assert counted == {method: [2049, 1024, 2049, 2049] for method in self.ROUTES}
+
+    def test_maps_with_equal_knots_keep_their_own_entries(self, counted):
+        a, b = da.make_random_homeomorphism(4), da.make_random_homeomorphism(4)
+        assert da.area_kernel_direct(a, 0.5, 64).value == da.area_kernel_direct(b, 0.5, 64).value
+        assert counted["kernel-direct"] == [64, 32, 64, 32]
+
+
 class TestCrossMethodAgreement:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_mollified_corpus(self, seed):

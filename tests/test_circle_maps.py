@@ -115,6 +115,15 @@ class TestConstructors:
         m = da.make_identity()
         assert da.eval_lift(m, -100.0) == -100.0
 
+    def test_equality_and_hash_are_by_identity(self):
+        # generated methods over the ndarray fields would raise on == and on hash
+        a, b = da.make_random_homeomorphism(0), da.make_random_homeomorphism(0)
+        assert np.array_equal(a.knots_t, b.knots_t) and np.array_equal(a.knots_lift, b.knots_lift)
+        assert a != b and not a == b
+        assert a == a and not a != a
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2} == {a: 1, b: 2} and len({a, b, a}) == 2
+
 
 class TestMobius:
     def test_zero_parameter_is_identity(self):

@@ -82,6 +82,22 @@ class TestAreaCommand:
         assert err.startswith("hypothesis violation: ")
         assert "usage error" not in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("area", "--family", "mobius:0.3", "--r", "0.5", "--method", "green-spectral"),
+        ("verify", "--suite", "contraction", "--seeds", "0", "--radii", "0.5", "--mollify", "0.5"),
+    ])
+    def test_numerical_failure_exit_code(self, capsys, monkeypatch, argv):
+        # boundary samples of modulus 2 carry power 4: valid input, broken invariant
+        from diskarea import poisson
+
+        real = poisson.boundary_values
+        monkeypatch.setattr(poisson, "boundary_values", lambda bmap, t: 2.0 * real(bmap, t))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 70
+        assert err.startswith("numerical failure: ") and "coefficient power" in err
+        assert "usage error" not in err and out == ""
+        assert not issubclass(poisson.NumericalFailureError, ValueError)
+
     def test_step_map_jacobian_is_a_hypothesis_violation(self, capsys):
         code, out, err = run_cli(capsys, "area", "--family", "step:1.5707963,4.712389@3.14159,6.2831853",
                                  "--r", "0.5", "--method", "jacobian")
@@ -303,3 +319,29 @@ class TestBenchCommand:
         assert [row["resolution"] for row in direct] == [64, 300]
         for row in direct:
             assert row["value"] == da.area_kernel_direct(bmap, 0.6, row["resolution"]).value
+
+    def test_direct_row_is_the_kept_estimate_over_lag_blocks(self, capsys):
+        import json
+
+        import diskarea as da
+
+        # another radius first, so the estimate at r = 0.6 reads lag sums kept for the map
+        bmap = da.mollify_map(da.make_random_homeomorphism(7, roughness=0.5))
+        for m in (2049, 5000):
+            da.area_kernel_direct(bmap, 0.9, m)
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "2049,5000", "--repeat", "1", "--format", "jsonl")
+        assert code == 0
+        direct = [json.loads(line) for line in out.splitlines() if '"kernel-direct"' in line]
+        assert [row["resolution"] for row in direct] == [2049, 5000]
+        for row in direct:
+            assert row["value"] == da.area_kernel_direct(bmap, 0.6, row["resolution"]).value
+
+    def test_repeats_take_the_direct_lag_sums_afresh(self, capsys, monkeypatch):
+        from diskarea import pair_sums
+
+        sizes = []
+        real = pair_sums._direct_sine_lag_sums
+        monkeypatch.setattr(pair_sums, "_direct_sine_lag_sums", lambda xi: sizes.append(len(xi)) or real(xi))
+        code, _, _ = run_cli(capsys, "bench", "--sizes", "64,300", "--repeat", "3")
+        assert code == 0
+        assert sizes == [64, 64, 64, 300, 300, 300]

@@ -196,6 +196,34 @@ class TestLagBlocks:
         assert np.array_equal(pair_sums._circular_convolve(kern, v), oracles.circular_convolve_whole(kern, v))
 
 
+def _sine_lag_sums_reference(xi):
+    """S[d] = sum over k of sin(xi[(k + d) mod M] - xi[k]), one lag at a time."""
+    return np.array([np.sum(np.sin(np.roll(xi, -d) - xi)) for d in range(xi.size)])
+
+
+class TestDirectLagSums:
+    """The direct sine lag sums behind the dense sum: one correlation, exactly odd."""
+
+    # 2049 leaves one lag for the last block of the correlation, 5000 a ragged one
+    @pytest.mark.parametrize("m", [1, 2, 7, 2048, 2049, 5000])
+    def test_matches_lag_by_lag_reference(self, m):
+        rng = np.random.default_rng(m)
+        xi = np.sort(rng.uniform(0, 2 * TWO_PI, m))
+        got = pair_sums._direct_sine_lag_sums(xi)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - _sine_lag_sums_reference(xi))) <= 1e-14 * m
+        assert got[0] == 0.0
+        assert np.array_equal(got[1:], -got[:0:-1])  # S[M - d] == -S[d], bit for bit
+
+    @pytest.mark.parametrize("m", [7, 4097])
+    def test_pair_sum_is_the_odd_dot_of_its_lag_sums(self, m):
+        kern, _, xi, _ = _inputs(21, m)
+        want = pair_sums._odd_lag_dot(kern, pair_sums._direct_sine_lag_sums(xi))
+        assert pair_sums.sin_pair_sum(kern, xi) == want
+        full = float(np.dot(kern, pair_sums._direct_sine_lag_sums(xi)))  # the lag dot over every d
+        assert abs(want - full) <= 1e-12 * max(1.0, abs(want))
+
+
 class TestFFTAgainstDense:
     """The FFT forms against the dense O(M^2) sums, over sizes odd and even."""
 
