@@ -1,8 +1,9 @@
 """Harmonic self-maps of the unit disk: areas of concentric-disk images,
 contraction and boundary-flux verification, and the pointwise identities
-behind them.  Pure Python on numpy: the pair sums behind the area and the
-tangent-gap double integral run through FFTs in ``diskarea.pair_sums``, with
-the dense O(M^2) area sum kept as the ``kernel-direct`` estimator.
+behind them.  Pure Python on numpy: the area and the tangent-gap double
+integral pair a kernel row with the sine lag sums of the lift, taken by FFT in
+``diskarea.pair_sums``, with the direct O(M^2) lag sums kept as the
+``kernel-direct`` estimator and the proof's dense area.
 """
 
 from .area import (

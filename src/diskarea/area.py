@@ -10,10 +10,11 @@ absolute areas: the identity at radius r gives pi * r^2.
 
 The two kernel routes reassociate the double sum over the lag into the
 sine lag sums of the lift, taken by direct O(M^2) summation
-(``kernel-direct``) or by FFT in O(M log M) (``kernel-fft``).  Only the
-kernel row depends on r, so each route keeps the lag sums of the latest
-maps per sample count (:func:`_lift_lag_sums`), and a further radius of a
-map costs one O(M) dot.
+(``kernel-direct``) or by FFT in O(M log M) (``kernel-fft``), and dot them
+with the kernel row; :func:`_route_value` is the one place that pairs the
+two.  Only the kernel row depends on r, so each route keeps the lag sums of
+the latest maps per sample count (:func:`_lift_lag_sums`), and a further
+radius of a map costs one O(M) dot.
 
 :data:`REGISTRY` is the one table of these methods, and
 :func:`estimate_area` the one way to run a method by name.
@@ -178,22 +179,11 @@ def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) ->
     return AreaEstimate(full, GREEN_QUADRATURE, n_samples, abs(full - half))
 
 
-def _kernel_value(bmap: BoundaryMap, r: float, m: int, pair_sum) -> float:
-    """Trapezoid sum of the pair kernel against the lift on m samples.
-
-    ``pair_sum`` is :func:`pair_sums.sin_pair_sum` or :func:`pair_sums.sin_pair_sum_fft`,
-    which take the lag sums afresh; the estimators read them from :func:`_lift_lag_sums`.
-    """
-    t = np.arange(m) * (TWO_PI / m)
-    return (math.pi / (m * m)) * pair_sum(area_kernel(r, t), eval_lift(bmap, t))
-
-
 # Each kernel route's sine lag sums of a lift and the dot of a kernel row with
-# them, as in its pair sum; both are in pair_sums and named for the reason
-# REGISTRY gives.
+# them, both in pair_sums and named for the reason REGISTRY gives.
 _KERNEL_ROUTES = {
-    KERNEL_DIRECT: ("_direct_sine_lag_sums", "_odd_lag_dot"),
-    KERNEL_FFT: ("_sine_lag_sums", "_lag_dot"),
+    KERNEL_DIRECT: ("direct_sine_lag_sums", "odd_lag_dot"),
+    KERNEL_FFT: ("sine_lag_sums", "lag_dot"),
 }
 
 
@@ -204,8 +194,8 @@ def _lift_lag_sums(bmap: BoundaryMap, m: int, method: str) -> np.ndarray:
     Only the kernel row depends on r, so the radii of one map read one entry
     per sample count and route; 8 entries hold both sample counts of both
     routes for two maps.  A BoundaryMap is immutable and hashed by identity.
-    The FFT route's sums stay the strided view its pair sum dots with: a
-    contiguous copy would make ``np.dot`` round differently.
+    The FFT route's sums stay the strided view :func:`pair_sums.sine_lag_sums`
+    returns: a contiguous copy would make ``np.dot`` round differently.
     """
     t = np.arange(m) * (TWO_PI / m)
     sums = getattr(pair_sums, _KERNEL_ROUTES[method][0])(eval_lift(bmap, t))
@@ -213,11 +203,16 @@ def _lift_lag_sums(bmap: BoundaryMap, m: int, method: str) -> np.ndarray:
     return sums
 
 
-def _route_value(bmap: BoundaryMap, r: float, m: int, method: str) -> float:
-    """:func:`_kernel_value` by ``method``'s pair sum, bit for bit, from the kept lag sums."""
+def _route_value(bmap: BoundaryMap, r: float, m: int, method: str, _lag_sums=_lift_lag_sums) -> float:
+    """Trapezoid sum of the pair kernel against the lift on m samples, by ``method``'s route.
+
+    The one place a route's lag sums meet its dot.  ``_lag_sums`` is the kept
+    :func:`_lift_lag_sums`; ``diskarea bench`` passes the uncached function
+    beneath it, ``_lift_lag_sums.__wrapped__``, to time the sums afresh.
+    """
     t = np.arange(m) * (TWO_PI / m)
     dot = getattr(pair_sums, _KERNEL_ROUTES[method][1])
-    return (math.pi / (m * m)) * dot(area_kernel(r, t), _lift_lag_sums(bmap, m, method))
+    return (math.pi / (m * m)) * dot(area_kernel(r, t), _lag_sums(bmap, m, method))
 
 
 def _kernel_estimate(bmap: BoundaryMap, r: float, n_samples: int | None, method: str) -> AreaEstimate:
@@ -233,8 +228,8 @@ def _kernel_estimate(bmap: BoundaryMap, r: float, n_samples: int | None, method:
 def area_kernel_direct(bmap: BoundaryMap, r: float, n_samples: int | None = None) -> AreaEstimate:
     """O(M^2) double trapezoid sum of (1/4pi) K(s - t) sin(lift(s) - lift(t)).
 
-    The value of :func:`pair_sums.sin_pair_sum`; the map's direct lag sums
-    are taken once per sample count and kept for its other radii.
+    The map's direct lag sums (:func:`pair_sums.direct_sine_lag_sums`) are
+    taken once per sample count and kept for its other radii.
     """
     return _kernel_estimate(bmap, r, n_samples, KERNEL_DIRECT)
 

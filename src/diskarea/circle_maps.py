@@ -289,9 +289,12 @@ def to_json(bmap: BoundaryMap) -> str:
 
 def from_json(text: str) -> BoundaryMap:
     """Parse the wire schema; malformed documents raise ``ValueError``."""
-    doc = json.loads(text)
+    # JSON integers read as floats, so one too large for a double is inf, not an OverflowError
+    doc = json.loads(text, parse_int=float)
     if not isinstance(doc, dict) or not {"kind", "omega_re", "omega_im", "knots"} <= doc.keys():
         raise ValueError("boundary-map JSON needs the keys kind, omega_re, omega_im and knots")
+    if not all(type(doc[key]) is float for key in ("omega_re", "omega_im")):  # a bool is no number
+        raise ValueError("boundary-map JSON omega_re and omega_im must be numbers")
     knots = np.asarray(doc["knots"], dtype=float)
     if knots.ndim != 2 or knots.shape[1] != 2:
         raise ValueError("boundary-map JSON knots must be a list of [t, lift] pairs")

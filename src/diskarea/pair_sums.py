@@ -7,15 +7,16 @@ over the lag: it is sum over d of K[d] S[d], with S[d] the sum over k of
 sin(xi[k + d] - xi[k]), the sine lag sums of the lift.  Only the kernel row
 depends on the radius, so the lag sums of one lift serve every radius.
 
-There are two routes to S.  ``gap_pair_sums`` and ``sin_pair_sum_fft`` take
-it from :func:`_sine_lag_sums`, one FFT autocorrelation, O(M log M).
-``sin_pair_sum``, the dense O(M^2) form of the area sum, takes it from
-:func:`_direct_sine_lag_sums` by direct summation: one circular correlation
-of the sines with the cosines, no FFT and O(M) memory.  It is the
-``kernel-direct`` area estimator and the oracle the FFT path is checked
-against, so it shares nothing with that path.  Its S is exactly odd,
-S[M - d] = -S[d], so the dot runs over the lags 1 .. (M - 1) // 2 against
-the kernel's odd part K[d] - K[M - d].
+There are two routes to S, each with its dot.  :func:`sine_lag_sums` takes
+it by one FFT autocorrelation, O(M log M); :func:`gap_pair_sums` and the
+``kernel-fft`` area estimator dot it with :func:`lag_dot`.
+:func:`direct_sine_lag_sums` takes it by direct summation, O(M^2): one
+circular correlation of the sines with the cosines, no FFT and O(M) memory.
+It feeds the ``kernel-direct`` estimator and the dense area of the proof
+suite, the oracle the FFT path is checked against, so it shares nothing
+with that path.  Its S is exactly odd, S[M - d] = -S[d], so its dot
+:func:`odd_lag_dot` runs over the lags 1 .. (M - 1) // 2 against the
+kernel's odd part K[d] - K[M - d].
 
 The direct correlation runs over blocks of at most ``_LAG_BLOCK`` lags and
 adds one partial convolution per block.  Each output of a block is a dot
@@ -29,7 +30,7 @@ import numpy as np
 _LAG_BLOCK = 2048  # lags summed by one partial convolution of _circular_convolve
 
 
-def _sine_lag_sums(xi):
+def sine_lag_sums(xi):
     """S[d] = sum over k of sin(xi[(k + d) mod M] - xi[k]), for every lag d.
 
     The circular autocorrelation of exp(i xi) is sum_k exp(i (xi[k+d] - xi[k]));
@@ -60,8 +61,8 @@ def _circular_convolve(kernel_row, v):
     return out
 
 
-def _direct_sine_lag_sums(xi):
-    """The sine lag sums S of :func:`_sine_lag_sums`, by direct summation.
+def direct_sine_lag_sums(xi):
+    """The sine lag sums S of :func:`sine_lag_sums`, by direct summation.
 
     With s = sin(xi) and c = cos(xi), sin(xi[k + d] - xi[k]) = s[k + d] c[k]
     - c[k + d] s[k], so S[d] = X[d] - X[(-d) mod M] for the circular
@@ -76,13 +77,13 @@ def _direct_sine_lag_sums(xi):
     return x - np.concatenate((x[:1], x[:0:-1]))
 
 
-def _lag_dot(kernel_row, lag_sums):
+def lag_dot(kernel_row, lag_sums):
     """sum over d of kernel_row[d] * lag_sums[d]."""
     return float(np.dot(kernel_row, lag_sums))
 
 
-def _odd_lag_dot(kernel_row, lag_sums):
-    """:func:`_lag_dot` for exactly odd lag sums, lag_sums[M - d] == -lag_sums[d].
+def odd_lag_dot(kernel_row, lag_sums):
+    """:func:`lag_dot` for exactly odd lag sums, lag_sums[M - d] == -lag_sums[d].
 
     The lags d and M - d pair up, so the sum is the dot of the kernel's odd
     part K[d] - K[M - d] with lag_sums[d] over d = 1 .. (M - 1) // 2; lag 0
@@ -92,41 +93,6 @@ def _odd_lag_dot(kernel_row, lag_sums):
     half = (kernel_row.size - 1) // 2
     odd = kernel_row[1 : half + 1] - kernel_row[:0:-1][:half]
     return float(np.dot(odd, lag_sums[1 : half + 1]))
-
-
-def sin_pair_sum(kernel_row, xi):
-    """sum over j,k of kernel_row[(j - k) mod M] * sin(xi[j] - xi[k]).
-
-    Dense O(M^2) direct sum, reassociated over the lag like
-    :func:`sin_pair_sum_fft`: :func:`_odd_lag_dot` of the row with the lag
-    sums of :func:`_direct_sine_lag_sums`, one circular correlation in
-    blocks of at most 2048 lags, M sines, M cosines and O(M) memory, never
-    an FFT.  Only the row depends on the radius; ``area`` keeps the lag sums
-    of a map for its further radii, and this function, which the benchmark
-    times, takes them afresh on every call.
-    """
-    kernel_row = np.ascontiguousarray(kernel_row, dtype=float)
-    xi = np.ascontiguousarray(xi, dtype=float)
-    m = xi.size
-    if kernel_row.size != m:
-        raise ValueError("kernel_row and xi must have equal length")
-    if m == 0:
-        return 0.0
-    return _odd_lag_dot(kernel_row, _direct_sine_lag_sums(xi))
-
-
-def sin_pair_sum_fft(kernel_row, xi):
-    """The sum of :func:`sin_pair_sum`, with the lag sums of :func:`_sine_lag_sums`.
-
-    :func:`_lag_dot` of the row with them; O(M log M).  It is the pair sum
-    of the ``kernel-fft`` area estimator.
-    """
-    kernel_row = np.asarray(kernel_row, dtype=float)
-    if kernel_row.size != np.size(xi):
-        raise ValueError("kernel_row and xi must have equal length")
-    if kernel_row.size == 0:
-        return 0.0
-    return _lag_dot(kernel_row, _sine_lag_sums(xi))
 
 
 def gap_pair_sums(kernel_row, alphas, lift2):
@@ -159,5 +125,5 @@ def gap_pair_sums(kernel_row, alphas, lift2):
     drift = np.concatenate(([0.0], np.cumsum(steps)))
     cos_part = np.cos(alphas) * drift
     cos_acc = float(np.dot(kernel_row, cos_part))
-    gap_acc = float(np.dot(kernel_row, m * np.sin(alphas) + cos_part - _sine_lag_sums(lift2[:m])))
+    gap_acc = float(np.dot(kernel_row, m * np.sin(alphas) + cos_part - sine_lag_sums(lift2[:m])))
     return cos_acc, gap_acc

@@ -246,10 +246,10 @@ def check_gap_double_integral(bmap: BoundaryMap, r: float, n_samples: int = 512,
     kern = area_kernel(r, alphas)
     _, gap_sum = pair_sums.gap_pair_sums(kern, alphas, lift2)
     value = gap_sum * (TWO_PI / m) ** 2
-    # the kernel-direct area at full resolution, from the dense pair sum on
-    # purpose: the gap sum is built on the sine lag sums, and an area sharing
+    # the kernel-direct area at full resolution, from the direct lag sums on
+    # purpose: the gap sum is built on the FFT lag sums, and an area sharing
     # them could not catch an error in them
-    area = (math.pi / (m * m)) * pair_sums.sin_pair_sum(kern, lift2[:m])
+    area = (math.pi / (m * m)) * pair_sums.odd_lag_dot(kern, pair_sums.direct_sine_lag_sums(lift2[:m]))
     bookkeeping = abs((math.pi * r * r - area) - value / (4.0 * math.pi))
     return make_verdict("gap-double-integral", map_id, r, -value, 0.0, 1e-8, m, holds=bookkeeping <= 1e-6)
 
@@ -349,8 +349,12 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
       value over seeds ``0..n_profiles-1`` must be >= -1e-8;
     * ``reduction-chain``: the smallest :func:`check_reduction_chain` slack
       over seeds ``0..n_chains-1`` must be >= -1e-10;
-    * ``reflection-invariance``: the largest change of the gap integral under
-      :func:`reflect_profile` over the same seeds must be <= 1e-10.
+    * ``reflection-invariance``: over the same seeds, the largest difference
+      between the gap integral of a profile's canonical form c and the
+      trapezoid integral of K(a) gap(a, R(a)) for R = :func:`reflect_profile`
+      of c, taken as it is, not canonicalized, must be <= 1e-10.  The two
+      agree because K(2 pi - a) = -K(a) and the gap changes sign under the
+      reflection; an even kernel would flip the sign of the integral.
 
     Each record has r = max(radii) and resolution 512.  The values equal those
     of the single-profile functions bit for bit.  The profiles are integrated
@@ -375,18 +379,18 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
         v = _canonical_rows(raw)
         c = min(len(v), max(0, n_chains - start))  # leading rows that also carry a chain
         gap = tangent_gap(alphas, v)
-        # a chain row reflected into v is its own mirror, with no drift: mirror the others
-        kept = np.flatnonzero(raw[:c, n // 2] <= math.pi)
-        mirrored = tangent_gap(alphas, _canonical_rows(_reflected_rows(raw[kept])))
+        # the chain rows' reflections, integrated as they are: K(2pi - a) = -K(a)
+        # and the gap flips sign under the reflection, so the integral is kept
+        mirrored = tangent_gap(alphas, _reflected_rows(v[:c]))
         frozen = tangent_gap(alphas, v[:c, n // 2, None])
         cutoffs = _cutoff_indices(v[:c], alphas)
         q1 = np.empty((len(v), len(radii)))
-        drift = np.zeros((c, len(radii)))
+        drift = np.empty((c, len(radii)))
         worst = np.empty((c, len(radii)))
         for j, kern in enumerate(kerns):
             weighted = _trapezoid_terms(kern * gap, alphas)
             q1[:, j] = weighted.sum(axis=-1)
-            drift[kept, j] = np.abs(q1[kept, j] - np.trapezoid(kern * mirrored, alphas, axis=-1))
+            drift[:, j] = np.abs(q1[:c, j] - np.trapezoid(kern * mirrored, alphas, axis=-1))
             windows = _window_integrals(cutoffs, weighted, _trapezoid_terms(kern * frozen, alphas), pi_terms[j])
             worst[:, j] = [_chain_worst(q, *w) for q, w in zip(q1[:c, j].tolist(), windows)]
         integrals += q1.ravel().tolist()

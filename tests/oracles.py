@@ -4,9 +4,11 @@ Each one checks a statement the library relies on by a slow, direct route:
 trapezoid quadrature of the kernel integrals, checked against their closed
 forms, plain lift arithmetic for the increment identities, full meshgrids
 for the proof suite's grid checks, the series fold through a copied array
-of its terms, the random lift drawn one row at a time, and the circular
-convolution of the dense pair sum taken in one call over all lags.  None of them
-feeds a report row, so they live here and not in ``diskarea``.
+of its terms, the random lift drawn one row at a time, the gap integral of
+a reflected profile, the dense area sum of the ``kernel-direct`` route on
+bare arrays, and the circular convolution of that sum taken in one call over
+all lags.  None of them feeds a report row, so they live here and not in
+``diskarea``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import math
 
 import numpy as np
 
+from diskarea import pair_sums
 from diskarea.area import area_kernel
 from diskarea.circle_maps import TWO_PI, BoundaryMap, boundary_values, eval_lift
 from diskarea.poisson import _check_radius, poisson_kernel, poisson_kernel_deriv
-from diskarea.proof_checks import MonotoneProfile, _grid, _triangle_masks, tangent_gap
+from diskarea.proof_checks import MonotoneProfile, _grid, _triangle_masks, reflect_profile, tangent_gap
 from diskarea.verify import VerdictRecord, make_verdict
 
 
@@ -194,3 +197,24 @@ def circular_convolve_whole(kernel_row, v):
     circularly from index 1.  The lag-blocked library form must give the same
     bits while M is at most one block."""
     return np.convolve(np.concatenate((v[1:], v)), kernel_row, "valid")
+
+
+def dense_area_sum(kernel_row, xi) -> float:
+    """sum over j,k of kernel_row[(j - k) mod M] * sin(xi[j] - xi[k]) by the
+    ``kernel-direct`` route: the odd dot of the direct lag sums of ``xi``."""
+    return pair_sums.odd_lag_dot(np.asarray(kernel_row, dtype=float), pair_sums.direct_sine_lag_sums(xi))
+
+
+def reflected_gap_integral(g: MonotoneProfile, r: float) -> float:
+    """Trapezoid integral of K(a) gap(a, R(a)) for R the reflection of g's
+    canonical form c, taken as it is, not canonicalized again.
+
+    It equals the gap integral of c, as the library takes it, because
+    K(2 pi - a) = -K(a) and the gap changes sign under the reflection; with an
+    even kernel the two would have opposite signs.
+    """
+    if g.values[g.n_cells // 2] > math.pi:
+        g = reflect_profile(g)
+    a = g.alphas
+    mirrored = tangent_gap(a, reflect_profile(g).values[None])
+    return float(np.trapezoid(area_kernel(r, a) * mirrored, a, axis=-1)[0])

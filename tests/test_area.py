@@ -385,10 +385,10 @@ class TestKernelMethods:
         t = np.arange(m) * (TWO_PI / m)
         xi = da.eval_lift(mollified_map, t)
         kern = da.area_kernel(0.6, t)
-        base = pair_sums.sin_pair_sum(kern, xi)
+        base = oracles.dense_area_sum(kern, xi)
         for shift in (1, 17, 200):
             rolled = np.concatenate([xi[shift:], xi[:shift] + TWO_PI])
-            moved = pair_sums.sin_pair_sum(kern, np.ascontiguousarray(rolled))
+            moved = oracles.dense_area_sum(kern, rolled)
             assert abs(moved - base) < 1e-10 * max(1.0, abs(base))
 
     def test_constant_offset_invariance(self, mollified_map):
@@ -397,8 +397,8 @@ class TestKernelMethods:
         t = np.arange(m) * (TWO_PI / m)
         xi = da.eval_lift(mollified_map, t)
         kern = da.area_kernel(0.6, t)
-        base = pair_sums.sin_pair_sum(kern, xi)
-        moved = pair_sums.sin_pair_sum(kern, np.ascontiguousarray(xi + 0.77))
+        base = oracles.dense_area_sum(kern, xi)
+        moved = oracles.dense_area_sum(kern, xi + 0.77)
         assert abs(moved - base) < 1e-10 * max(1.0, abs(base))
 
     def test_step_map_two_jump_degenerate_image(self, step_two_jump):
@@ -410,7 +410,8 @@ class TestKernelMethods:
 class TestKeptLagSums:
     """The kernel estimators take a map's lag sums once per sample count and route."""
 
-    ROUTES = {"kernel-direct": "_direct_sine_lag_sums", "kernel-fft": "_sine_lag_sums"}
+    ROUTES = {"kernel-direct": "direct_sine_lag_sums", "kernel-fft": "sine_lag_sums"}
+    DOTS = {"kernel-direct": "odd_lag_dot", "kernel-fft": "lag_dot"}
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -440,11 +441,15 @@ class TestKeptLagSums:
 
     def test_kept_value_is_the_pair_sum_bit_for_bit(self, counted, mollified_map):
         # the first radius fills the cache, the second reads it
+        m = 2049
+        t = np.arange(m) * (TWO_PI / m)
         for r in (0.9, 0.6):
-            for method, pair_sum in (("kernel-direct", pair_sums.sin_pair_sum), ("kernel-fft", pair_sums.sin_pair_sum_fft)):
-                est = da.estimate_area(mollified_map, r, method, resolution=2049)
-                assert est.value == area._kernel_value(mollified_map, r, 2049, pair_sum)
-        # the estimates take 2049 and 1024 once; each pair sum takes 2049 afresh
+            for method, sums in self.ROUTES.items():
+                est = da.estimate_area(mollified_map, r, method, resolution=m)
+                dot = getattr(pair_sums, self.DOTS[method])
+                lag_sums = getattr(pair_sums, sums)(da.eval_lift(mollified_map, t))
+                assert est.value == (math.pi / (m * m)) * dot(da.area_kernel(r, t), lag_sums)
+        # the estimates take 2049 and 1024 once; each fresh pair sum takes 2049
         assert counted == {method: [2049, 1024, 2049, 2049] for method in self.ROUTES}
 
     def test_maps_with_equal_knots_keep_their_own_entries(self, counted):

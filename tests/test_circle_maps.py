@@ -356,6 +356,20 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 da.from_json(text)
 
+    @pytest.mark.parametrize("key", ["omega_re", "omega_im"])
+    @pytest.mark.parametrize("value", ["1", None, [0], True, False, {"re": 1.0}])
+    def test_non_number_omega_raises_value_error(self, random_map, key, value):
+        # complex() would raise TypeError on these, or take a bool for 0 or 1
+        doc = {**json.loads(da.to_json(random_map)), key: value}
+        with pytest.raises(ValueError, match="must be numbers"):
+            da.from_json(json.dumps(doc))
+
+    def test_integer_omega_reads_as_a_number(self, random_map):
+        doc = json.loads(da.to_json(random_map))
+        assert da.from_json(json.dumps({**doc, "omega_re": 0, "omega_im": -1})).omega == -1j
+        with pytest.raises(ValueError, match="unit modulus"):  # past the doubles: inf, not OverflowError
+            da.from_json(json.dumps({**doc, "omega_re": 10**400}))
+
     def test_malformed_json_raises_value_error(self):
         flat = json.dumps({"kind": "homeomorphism", "omega_re": 1.0, "omega_im": 0.0,
                            "knots": [0.0, TWO_PI]})

@@ -336,12 +336,21 @@ class TestBenchCommand:
         for row in direct:
             assert row["value"] == da.area_kernel_direct(bmap, 0.6, row["resolution"]).value
 
+    def test_routes_disagreeing_beyond_1e_10_exit_1(self, capsys, monkeypatch):
+        from diskarea import pair_sums
+
+        real = pair_sums.odd_lag_dot
+        monkeypatch.setattr(pair_sums, "odd_lag_dot", lambda kern, sums: real(kern, sums) * (1.0 + 1e-9))
+        code, _, err = run_cli(capsys, "bench", "--sizes", "64,300", "--repeat", "1")
+        assert code == 1
+        assert err.count("disagrees with kernel-fft") == 2
+
     def test_repeats_take_the_direct_lag_sums_afresh(self, capsys, monkeypatch):
         from diskarea import pair_sums
 
         sizes = []
-        real = pair_sums._direct_sine_lag_sums
-        monkeypatch.setattr(pair_sums, "_direct_sine_lag_sums", lambda xi: sizes.append(len(xi)) or real(xi))
+        real = pair_sums.direct_sine_lag_sums
+        monkeypatch.setattr(pair_sums, "direct_sine_lag_sums", lambda xi: sizes.append(len(xi)) or real(xi))
         code, _, _ = run_cli(capsys, "bench", "--sizes", "64,300", "--repeat", "3")
         assert code == 0
         assert sizes == [64, 64, 64, 300, 300, 300]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import diskarea as da
 from diskarea import pair_sums
-from diskarea.area import _kernel_value
+from diskarea.area import KERNEL_DIRECT, KERNEL_FFT, _lift_lag_sums, _route_value
 
 import oracles
 
@@ -23,7 +23,7 @@ def _inputs(seed, m, degree=1):
     return kern, alphas, xi, lift2
 
 
-def _sin_pair_sum_reference(kern, xi):
+def _pair_by_pair_reference(kern, xi):
     """Pair by pair, 256 rows j at a time, so that large M stays small in memory."""
     m = xi.size
     ks = np.arange(m)[None, :]
@@ -60,10 +60,10 @@ class TestNumpyFallback:
 
     # above 2048 the dense sum runs in lag blocks; 5000 ends in a shorter one
     @pytest.mark.parametrize("m", [8, 64, 300, 2049, 4096, 5000])
-    def test_sin_pair_sum_against_dense_reference(self, m):
+    def test_direct_pair_sum_against_dense_reference(self, m):
         kern, _, xi, _ = _inputs(m, m)
-        got = pair_sums.sin_pair_sum(kern, xi)
-        want = _sin_pair_sum_reference(kern, xi)
+        got = oracles.dense_area_sum(kern, xi)
+        want = _pair_by_pair_reference(kern, xi)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_gap_pair_sums_against_loop_reference(self):
@@ -82,22 +82,16 @@ class TestNumpyFallback:
         assert abs(got_gap - gap_ref) < 1e-10
 
     def test_empty_input(self):
-        # no samples, no pairs: both forms of the area sum and the gap sums are empty sums
-        assert pair_sums.sin_pair_sum([], []) == 0.0
-        assert pair_sums.sin_pair_sum_fft([], []) == 0.0
+        # no samples, no pairs: the gap sums are empty sums
         assert pair_sums.gap_pair_sums([], [], []) == (0.0, 0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            pair_sums.sin_pair_sum(np.zeros(4), np.zeros(5))
-        with pytest.raises(ValueError):
-            pair_sums.sin_pair_sum_fft(np.zeros(4), np.zeros(5))
-        with pytest.raises(ValueError):
             pair_sums.gap_pair_sums(np.zeros(4), np.zeros(4), np.zeros(7))
 
 
-class TestDenseSinPairSum:
-    """The direct-convolution ``sin_pair_sum`` against the pair-by-pair reference."""
+class TestDensePairSum:
+    """The odd dot of the direct lag sums, the dense area sum, against the pair-by-pair reference."""
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 3))
@@ -108,28 +102,28 @@ class TestDenseSinPairSum:
         rng = np.random.default_rng(seed)
         kern = rng.standard_normal(m)
         xi = np.sort(rng.uniform(0, degree * TWO_PI, m))
-        got = pair_sums.sin_pair_sum(kern, xi)
-        want = _sin_pair_sum_reference(kern, xi)
+        got = oracles.dense_area_sum(kern, xi)
+        want = _pair_by_pair_reference(kern, xi)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_single_sample_is_zero(self):
-        assert pair_sums.sin_pair_sum([2.5], [0.3]) == 0.0
+        assert oracles.dense_area_sum([2.5], [0.3]) == 0.0
 
     def test_two_samples(self):
         # the lags +1 and -1 coincide, so the two pairs cancel for any kernel
-        assert abs(pair_sums.sin_pair_sum([0.7, -1.9], [0.4, 2.3])) <= 1e-15
+        assert abs(oracles.dense_area_sum([0.7, -1.9], [0.4, 2.3])) <= 1e-15
 
     def test_three_samples_closed_form(self):
         kern, xi = np.array([0.3, 1.1, -0.4]), np.array([0.2, 1.7, 4.0])
         cyc = math.sin(xi[1] - xi[0]) + math.sin(xi[2] - xi[1]) + math.sin(xi[0] - xi[2])
         want = (kern[1] - kern[2]) * cyc
-        assert abs(pair_sums.sin_pair_sum(kern, xi) - want) <= 1e-14 * max(1.0, abs(want))
+        assert abs(oracles.dense_area_sum(kern, xi) - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_two_samples_exactly_zero(self):
         # at M = 2 every lag is its own negative, so the odd part of any kernel is 0
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert pair_sums.sin_pair_sum(rng.standard_normal(2), rng.uniform(-20.0, 20.0, 2)) == 0.0
+            assert oracles.dense_area_sum(rng.standard_normal(2), rng.uniform(-20.0, 20.0, 2)) == 0.0
 
     @pytest.mark.parametrize("m", [5, 64, 513, 1024, 4097])
     def test_even_kernel_exactly_zero(self, m):
@@ -137,7 +131,7 @@ class TestDenseSinPairSum:
         half = rng.standard_normal(m)
         kern = half + np.concatenate((half[:1], half[:0:-1]))  # K[d] == K[(-d) mod M] exactly
         xi = np.sort(rng.uniform(0, 3 * TWO_PI, m))
-        assert pair_sums.sin_pair_sum(kern, xi) == 0.0
+        assert oracles.dense_area_sum(kern, xi) == 0.0
 
     @pytest.mark.parametrize("m", [2, 3, 7, 1000])
     def test_non_odd_kernel_matches_reference(self, m):
@@ -145,35 +139,35 @@ class TestDenseSinPairSum:
         rng = np.random.default_rng(1000 + m)
         kern = rng.standard_normal(m) + 0.5
         xi = np.sort(rng.uniform(0, 2 * TWO_PI, m))
-        got = pair_sums.sin_pair_sum(kern, xi)
-        want = _sin_pair_sum_reference(kern, xi)
+        got = oracles.dense_area_sum(kern, xi)
+        want = _pair_by_pair_reference(kern, xi)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("m", [257, 4097])
     def test_never_uses_the_fft(self, monkeypatch, m):
         kern, _, xi, _ = _inputs(5, m)
-        want = _sin_pair_sum_reference(kern, xi)
+        want = _pair_by_pair_reference(kern, xi)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the dense pair sum must not use the FFT")
 
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, forbidden)
-        monkeypatch.setattr(pair_sums, "_sine_lag_sums", forbidden)
-        got = pair_sums.sin_pair_sum(kern, xi)
+        monkeypatch.setattr(pair_sums, "sine_lag_sums", forbidden)
+        got = oracles.dense_area_sum(kern, xi)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("m", [777, 4096])
     def test_bit_identical_across_calls_and_offsets(self, m):
         kern, _, xi, _ = _inputs(11, m)
-        first = pair_sums.sin_pair_sum(kern, xi)
-        assert pair_sums.sin_pair_sum(kern, xi) == first
+        first = oracles.dense_area_sum(kern, xi)
+        assert oracles.dense_area_sum(kern, xi) == first
         kbuf = np.zeros(m + 3)
         xbuf = np.zeros(m + 5)
         for k_off, x_off in ((1, 1), (1, 3), (2, 4), (3, 0)):
             kbuf[k_off : k_off + m] = kern
             xbuf[x_off : x_off + m] = xi
-            assert pair_sums.sin_pair_sum(kbuf[k_off : k_off + m], xbuf[x_off : x_off + m]) == first
+            assert oracles.dense_area_sum(kbuf[k_off : k_off + m], xbuf[x_off : x_off + m]) == first
 
 
 class TestLagBlocks:
@@ -209,19 +203,19 @@ class TestDirectLagSums:
     def test_matches_lag_by_lag_reference(self, m):
         rng = np.random.default_rng(m)
         xi = np.sort(rng.uniform(0, 2 * TWO_PI, m))
-        got = pair_sums._direct_sine_lag_sums(xi)
+        got = pair_sums.direct_sine_lag_sums(xi)
         assert got.shape == (m,)
         assert np.max(np.abs(got - _sine_lag_sums_reference(xi))) <= 1e-14 * m
         assert got[0] == 0.0
         assert np.array_equal(got[1:], -got[:0:-1])  # S[M - d] == -S[d], bit for bit
 
     @pytest.mark.parametrize("m", [7, 4097])
-    def test_pair_sum_is_the_odd_dot_of_its_lag_sums(self, m):
+    def test_odd_dot_is_the_lag_dot_over_every_lag(self, m):
         kern, _, xi, _ = _inputs(21, m)
-        want = pair_sums._odd_lag_dot(kern, pair_sums._direct_sine_lag_sums(xi))
-        assert pair_sums.sin_pair_sum(kern, xi) == want
-        full = float(np.dot(kern, pair_sums._direct_sine_lag_sums(xi)))  # the lag dot over every d
-        assert abs(want - full) <= 1e-12 * max(1.0, abs(want))
+        sums = pair_sums.direct_sine_lag_sums(xi)
+        odd = pair_sums.odd_lag_dot(kern, sums)
+        full = pair_sums.lag_dot(kern, sums)
+        assert abs(odd - full) <= 1e-12 * max(1.0, abs(odd))
 
 
 class TestFFTAgainstDense:
@@ -252,6 +246,6 @@ class TestFFTAgainstDense:
     @example(m=511, seed=3, r=0.9)
     def test_kernel_fft_value_matches_direct(self, m, seed, r):
         bmap = da.make_random_homeomorphism(seed, roughness=0.5)
-        got = _kernel_value(bmap, r, m, pair_sums.sin_pair_sum_fft)
-        want = _kernel_value(bmap, r, m, pair_sums.sin_pair_sum)
+        got = _route_value(bmap, r, m, KERNEL_FFT, _lift_lag_sums.__wrapped__)
+        want = _route_value(bmap, r, m, KERNEL_DIRECT, _lift_lag_sums.__wrapped__)
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)

@@ -142,12 +142,12 @@ class TestReflection:
             assert np.max(np.abs(gg.values - g.values)) < 1e-14
 
     def test_gap_integral_invariant(self):
+        # the reflection is integrated as it is; profile_gap_integral would reflect it back
         for seed in range(20):
             g = da.random_profile(seed)
             for r in (0.3, 0.6, 0.9):
                 v1, _ = da.profile_gap_integral(g, r)
-                v2, _ = da.profile_gap_integral(da.reflect_profile(g), r)
-                assert abs(v1 - v2) < 1e-10
+                assert abs(v1 - oracles.reflected_gap_integral(g, r)) < 1e-10
 
 
 class TestCosIdentity:
@@ -308,8 +308,7 @@ def _profile_family_loop(radii, n_profiles, n_chains):
         for r in radii:
             worst_chain = min(worst_chain, da.check_reduction_chain(g, r).slack)
             v1, _ = da.profile_gap_integral(g, r)
-            v2, _ = da.profile_gap_integral(da.reflect_profile(g), r)
-            worst_reflect = max(worst_reflect, abs(v1 - v2))
+            worst_reflect = max(worst_reflect, abs(v1 - oracles.reflected_gap_integral(g, r)))
     return (
         make_verdict("profile-gap-integral", f"random-profiles:{n_profiles}", max(radii),
                      -worst_profile, 0.0, 1e-8, 512),
@@ -342,6 +341,13 @@ class TestProfileFamily:
         want = _profile_family_loop(radii, 500, 200)
         assert [oracles.record_json(rec) for rec in got] == [oracles.record_json(rec) for rec in want]
         assert all(rec.passed for rec in got)
+
+    def test_even_kernel_fails_reflection_invariance(self, monkeypatch):
+        # with |K|, even, the reflection flips the sign of the gap integral
+        monkeypatch.setattr(pc, "area_kernel", lambda r, a: np.abs(da.area_kernel(r, a)))
+        records = {rec.check_name: rec for rec in pc.check_profile_family((0.3, 0.6, 0.9), 8, 8)}
+        assert not records["reflection-invariance"].passed
+        assert records["reflection-invariance"].lhs > 1e-3
 
     def test_block_size_does_not_change_records(self, monkeypatch):
         radii = (0.3, 0.9)
