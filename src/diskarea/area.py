@@ -8,13 +8,14 @@ midpoint integration of the Jacobian determinant on a polar grid.  Closed
 forms for the exact test families round out the set.  All values are
 absolute areas: the identity at radius r gives pi * r^2.
 
-The two kernel routes reassociate the double sum over the lag into the
-sine lag sums of the lift, taken by direct O(M^2) summation
-(``kernel-direct``) or by FFT in O(M log M) (``kernel-fft``), and dot them
-with the kernel row; :func:`_route_value` is the one place that pairs the
-two.  Only the kernel row depends on r, so each route keeps the lag sums of
-the latest maps per sample count (:func:`_lift_lag_sums`), and a further
-radius of a map costs one O(M) dot.
+The pair kernel is K_r = -P'_{r^2}, minus the Poisson kernel's derivative at
+radius r^2.  The two kernel routes reassociate the double sum over the lag
+into the sine lag sums of the lift and differ only in how they take them: by
+direct O(M^2) summation (``kernel-direct``) or by FFT in O(M log M)
+(``kernel-fft``).  :func:`_route_value` dots either with the kernel row by
+:func:`pair_sums.odd_lag_dot`.  Only the kernel row depends on r, so each
+route keeps the lag sums of the latest maps per sample count
+(:func:`_lift_lag_sums`), and a further radius of a map costs one O(M) dot.
 
 :data:`REGISTRY` is the one table of these methods, and
 :func:`estimate_area` the one way to run a method by name.
@@ -90,24 +91,16 @@ class AreaEstimate:
     error_indicator: float
 
 
-def kernel_sample_count(r: float) -> int:
-    """Sample rule for the pair kernel, whose peak width scales like 1 - r^2."""
-    return sample_count(r * r)
-
-
 def area_kernel(r: float, alpha):
-    """Antisymmetric pair kernel 2 r^2 (1 - r^4) sin(a) / (1 - 2 r^2 cos(a) + r^4)^2.
+    """Antisymmetric pair kernel -P'_{r^2}(alpha) = 2 r^2 (1 - r^4) sin(a) / (1 - 2 r^2 cos(a) + r^4)^2.
 
-    Equals minus the derivative of the Poisson kernel at radius r^2, by the
-    kernel composition law; the test oracle ``area_kernel_defining_integral``
-    in ``tests/oracles.py`` checks that numerically.  Odd in alpha.
+    Minus the derivative of the Poisson kernel at radius r^2, by the kernel
+    composition law P_r * P_s = P_{rs}; the test oracle
+    ``area_kernel_defining_integral`` in ``tests/oracles.py`` checks that
+    numerically.  Odd in alpha.  r is checked before it is squared.
     """
     r = _check_radius(r)
-    alpha = np.asarray(alpha, dtype=float)
-    rho2 = r * r
-    den = 1.0 - 2.0 * rho2 * np.cos(alpha) + rho2 * rho2
-    out = 2.0 * rho2 * (1.0 - rho2 * rho2) * np.sin(alpha) / (den * den)
-    return out if alpha.ndim else float(out)
+    return -poisson_kernel_deriv(r * r, alpha)
 
 
 def _coeffs_for(source: BoundaryMap | FourierCoeffs, order: int) -> FourierCoeffs:
@@ -179,12 +172,9 @@ def area_green_quadrature(bmap: BoundaryMap, r: float, n_samples: int = 1024) ->
     return AreaEstimate(full, GREEN_QUADRATURE, n_samples, abs(full - half))
 
 
-# Each kernel route's sine lag sums of a lift and the dot of a kernel row with
-# them, both in pair_sums and named for the reason REGISTRY gives.
-_KERNEL_ROUTES = {
-    KERNEL_DIRECT: ("direct_sine_lag_sums", "odd_lag_dot"),
-    KERNEL_FFT: ("sine_lag_sums", "lag_dot"),
-}
+# Each kernel route's sine lag sums of a lift, in pair_sums and named for the
+# reason REGISTRY gives.
+_KERNEL_ROUTES = {KERNEL_DIRECT: "direct_sine_lag_sums", KERNEL_FFT: "sine_lag_sums"}
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,30 +184,27 @@ def _lift_lag_sums(bmap: BoundaryMap, m: int, method: str) -> np.ndarray:
     Only the kernel row depends on r, so the radii of one map read one entry
     per sample count and route; 8 entries hold both sample counts of both
     routes for two maps.  A BoundaryMap is immutable and hashed by identity.
-    The FFT route's sums stay the strided view :func:`pair_sums.sine_lag_sums`
-    returns: a contiguous copy would make ``np.dot`` round differently.
+    ``diskarea bench`` clears the cache to time the sums afresh.
     """
     t = np.arange(m) * (TWO_PI / m)
-    sums = getattr(pair_sums, _KERNEL_ROUTES[method][0])(eval_lift(bmap, t))
+    sums = getattr(pair_sums, _KERNEL_ROUTES[method])(eval_lift(bmap, t))
     sums.setflags(write=False)
     return sums
 
 
-def _route_value(bmap: BoundaryMap, r: float, m: int, method: str, _lag_sums=_lift_lag_sums) -> float:
+def _route_value(bmap: BoundaryMap, r: float, m: int, method: str) -> float:
     """Trapezoid sum of the pair kernel against the lift on m samples, by ``method``'s route.
 
-    The one place a route's lag sums meet its dot.  ``_lag_sums`` is the kept
-    :func:`_lift_lag_sums`; ``diskarea bench`` passes the uncached function
-    beneath it, ``_lift_lag_sums.__wrapped__``, to time the sums afresh.
+    The one place a route's kept lag sums meet the kernel row, by
+    :func:`pair_sums.odd_lag_dot` on both routes.
     """
     t = np.arange(m) * (TWO_PI / m)
-    dot = getattr(pair_sums, _KERNEL_ROUTES[method][1])
-    return (math.pi / (m * m)) * dot(area_kernel(r, t), _lag_sums(bmap, m, method))
+    return (math.pi / (m * m)) * pair_sums.odd_lag_dot(area_kernel(r, t), _lift_lag_sums(bmap, m, method))
 
 
 def _kernel_estimate(bmap: BoundaryMap, r: float, n_samples: int | None, method: str) -> AreaEstimate:
     r = _check_radius(r, allow_zero=False)
-    m = kernel_sample_count(r) if n_samples is None else int(n_samples)
+    m = sample_count(r * r) if n_samples is None else int(n_samples)
     if m < 2:
         raise ValueError("kernel quadrature needs n_samples >= 2")
     full = _route_value(bmap, r, m, method)

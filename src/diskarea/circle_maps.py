@@ -295,9 +295,11 @@ def from_json(text: str) -> BoundaryMap:
         raise ValueError("boundary-map JSON needs the keys kind, omega_re, omega_im and knots")
     if not all(type(doc[key]) is float for key in ("omega_re", "omega_im")):  # a bool is no number
         raise ValueError("boundary-map JSON omega_re and omega_im must be numbers")
-    knots = np.asarray(doc["knots"], dtype=float)
-    if knots.ndim != 2 or knots.shape[1] != 2:
-        raise ValueError("boundary-map JSON knots must be a list of [t, lift] pairs")
+    knots = doc["knots"]  # numbers only, as for omega: a string, bool, object or null is no knot
+    pairs = type(knots) is list and bool(knots) and all(type(k) is list and len(k) == 2 for k in knots)
+    if not (pairs and all(type(x) is float for k in knots for x in k)):
+        raise ValueError("boundary-map JSON knots must be a list of [t, lift] number pairs")
+    knots = np.array(knots)
     return BoundaryMap(
         knots_t=knots[:, 0],
         knots_lift=knots[:, 1],

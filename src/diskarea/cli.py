@@ -180,13 +180,14 @@ def _cmd_bench(args) -> int:
     failures = 0
     for m in sizes:
         # both rows time the estimator's full-resolution value on lag sums
-        # taken afresh: lift, lag sums, kernel and dot
+        # taken afresh, the kept ones cleared: lift, lag sums, kernel and dot
         timed = []
         for name in (KERNEL_DIRECT, KERNEL_FFT):
             best = math.inf
             for _ in range(args.repeat):
+                _lift_lag_sums.cache_clear()
                 t0 = time.perf_counter()
-                value = _route_value(bmap, args.r, m, name, _lift_lag_sums.__wrapped__)
+                value = _route_value(bmap, args.r, m, name)
                 best = min(best, time.perf_counter() - t0)
             timed.append((name, value, best))
         ref = timed[-1][1]

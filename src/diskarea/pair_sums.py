@@ -7,16 +7,15 @@ over the lag: it is sum over d of K[d] S[d], with S[d] the sum over k of
 sin(xi[k + d] - xi[k]), the sine lag sums of the lift.  Only the kernel row
 depends on the radius, so the lag sums of one lift serve every radius.
 
-There are two routes to S, each with its dot.  :func:`sine_lag_sums` takes
-it by one FFT autocorrelation, O(M log M); :func:`gap_pair_sums` and the
-``kernel-fft`` area estimator dot it with :func:`lag_dot`.
-:func:`direct_sine_lag_sums` takes it by direct summation, O(M^2): one
-circular correlation of the sines with the cosines, no FFT and O(M) memory.
-It feeds the ``kernel-direct`` estimator and the dense area of the proof
-suite, the oracle the FFT path is checked against, so it shares nothing
-with that path.  Its S is exactly odd, S[M - d] = -S[d], so its dot
-:func:`odd_lag_dot` runs over the lags 1 .. (M - 1) // 2 against the
-kernel's odd part K[d] - K[M - d].
+There are two routes to S, and one dot.  :func:`sine_lag_sums` takes it by
+one FFT autocorrelation, O(M log M): it feeds the ``kernel-fft`` estimator
+and :func:`gap_pair_sums`.  :func:`direct_sine_lag_sums` takes it by direct
+summation, O(M^2): one circular correlation of the sines with the cosines,
+no FFT and O(M) memory.  It feeds the ``kernel-direct`` estimator and the
+dense area of the proof suite, the oracle the FFT path is checked against,
+so it shares nothing with that path.  S is odd in exact arithmetic,
+S[M - d] = -S[d], so both estimators dot it with :func:`odd_lag_dot`, over
+the lags 1 .. (M - 1) // 2 against the kernel's odd part K[d] - K[M - d].
 
 The direct correlation runs over blocks of at most ``_LAG_BLOCK`` lags and
 adds one partial convolution per block.  Each output of a block is a dot
@@ -34,10 +33,11 @@ def sine_lag_sums(xi):
     """S[d] = sum over k of sin(xi[(k + d) mod M] - xi[k]), for every lag d.
 
     The circular autocorrelation of exp(i xi) is sum_k exp(i (xi[k+d] - xi[k]));
-    its imaginary part is S, computed as Im(ifft(|fft(exp(i xi))|^2)).
+    its imaginary part is S, computed as Im(ifft(|fft(exp(i xi))|^2)) and
+    returned as a contiguous array.
     """
     f = np.fft.fft(np.exp(1j * np.asarray(xi, dtype=float)))
-    return np.fft.ifft(f.real * f.real + f.imag * f.imag).imag
+    return np.ascontiguousarray(np.fft.ifft(f.real * f.real + f.imag * f.imag).imag)
 
 
 def _circular_convolve(kernel_row, v):
@@ -77,18 +77,15 @@ def direct_sine_lag_sums(xi):
     return x - np.concatenate((x[:1], x[:0:-1]))
 
 
-def lag_dot(kernel_row, lag_sums):
-    """sum over d of kernel_row[d] * lag_sums[d]."""
-    return float(np.dot(kernel_row, lag_sums))
-
-
 def odd_lag_dot(kernel_row, lag_sums):
-    """:func:`lag_dot` for exactly odd lag sums, lag_sums[M - d] == -lag_sums[d].
+    """sum over d of kernel_row[d] * lag_sums[d], for lag sums odd in exact
+    arithmetic, lag_sums[M - d] == -lag_sums[d].
 
     The lags d and M - d pair up, so the sum is the dot of the kernel's odd
     part K[d] - K[M - d] with lag_sums[d] over d = 1 .. (M - 1) // 2; lag 0
-    and, for even M, lag M/2 add nothing.  An even kernel, K[d] == K[M - d],
-    gives exactly 0, and so does every kernel at M = 2.
+    and, for even M, lag M/2 add nothing, and lag_sums is read at no other
+    lag.  An even kernel, K[d] == K[M - d], gives exactly 0, and so does
+    every kernel at M = 2.
     """
     half = (kernel_row.size - 1) // 2
     odd = kernel_row[1 : half + 1] - kernel_row[:0:-1][:half]

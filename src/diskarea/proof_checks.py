@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_sums
-from .area import area_kernel
+from .area import KERNEL_DIRECT, _route_value, area_kernel
 from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, _random_lift, eval_lift
 from .poisson import _check_radius
 from .verify import VerdictRecord, make_verdict
@@ -207,10 +207,10 @@ def check_mirror_pair_identity(r: float) -> VerdictRecord:
 
 
 def _lift_two_periods(bmap: BoundaryMap, m: int):
+    """The m grid angles of one period and the lift evaluated over two, so the
+    second period is the map's own and the gap sums check its periodicity."""
     t = np.arange(m) * (TWO_PI / m)
-    lift1 = eval_lift(bmap, t)
-    lift2 = np.concatenate([lift1, lift1 + TWO_PI])
-    return t, lift2
+    return t, eval_lift(bmap, np.concatenate([t, t + TWO_PI]))
 
 
 def cos_identity_residual(bmap: BoundaryMap, r: float, n_samples: int = 512) -> float:
@@ -249,7 +249,7 @@ def check_gap_double_integral(bmap: BoundaryMap, r: float, n_samples: int = 512,
     # the kernel-direct area at full resolution, from the direct lag sums on
     # purpose: the gap sum is built on the FFT lag sums, and an area sharing
     # them could not catch an error in them
-    area = (math.pi / (m * m)) * pair_sums.odd_lag_dot(kern, pair_sums.direct_sine_lag_sums(lift2[:m]))
+    area = _route_value(bmap, r, m, KERNEL_DIRECT)
     bookkeeping = abs((math.pi * r * r - area) - value / (4.0 * math.pi))
     return make_verdict("gap-double-integral", map_id, r, -value, 0.0, 1e-8, m, holds=bookkeeping <= 1e-6)
 

@@ -50,6 +50,12 @@ class TestAreaKernel:
         r, alpha = 0.6, 1.0
         assert abs(da.area_kernel(r, alpha) + da.poisson_kernel_deriv(r * r, alpha)) < 1e-14
 
+    @pytest.mark.parametrize("r", [-0.5, 1.0])
+    def test_radius_is_checked_before_it_is_squared(self, r):
+        # -0.5 squares to 0.25, a valid Poisson radius
+        with pytest.raises(ValueError, match="radius"):
+            da.area_kernel(r, 1.0)
+
 
 class TestExactFamilies:
     def test_identity_quarter(self):
@@ -411,7 +417,6 @@ class TestKeptLagSums:
     """The kernel estimators take a map's lag sums once per sample count and route."""
 
     ROUTES = {"kernel-direct": "direct_sine_lag_sums", "kernel-fft": "sine_lag_sums"}
-    DOTS = {"kernel-direct": "odd_lag_dot", "kernel-fft": "lag_dot"}
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -446,11 +451,21 @@ class TestKeptLagSums:
         for r in (0.9, 0.6):
             for method, sums in self.ROUTES.items():
                 est = da.estimate_area(mollified_map, r, method, resolution=m)
-                dot = getattr(pair_sums, self.DOTS[method])
                 lag_sums = getattr(pair_sums, sums)(da.eval_lift(mollified_map, t))
-                assert est.value == (math.pi / (m * m)) * dot(da.area_kernel(r, t), lag_sums)
+                assert est.value == (math.pi / (m * m)) * pair_sums.odd_lag_dot(da.area_kernel(r, t), lag_sums)
         # the estimates take 2049 and 1024 once; each fresh pair sum takes 2049
         assert counted == {method: [2049, 1024, 2049, 2049] for method in self.ROUTES}
+
+    @pytest.mark.parametrize("m", [2, 4097])
+    @pytest.mark.parametrize("method", ["kernel-direct", "kernel-fft"])
+    def test_even_kernel_gives_exactly_zero_on_both_routes(self, monkeypatch, mollified_map, method, m):
+        # both routes dot through pair_sums.odd_lag_dot, which reads only the kernel's odd part
+        def even_row(r, a):
+            half = np.random.default_rng(m).standard_normal(a.size)
+            return half + np.concatenate((half[:1], half[:0:-1]))  # K[d] == K[(-d) mod M] exactly
+
+        monkeypatch.setattr(area, "area_kernel", even_row)
+        assert area._route_value(mollified_map, 0.6, m, method) == 0.0
 
     def test_maps_with_equal_knots_keep_their_own_entries(self, counted):
         a, b = da.make_random_homeomorphism(4), da.make_random_homeomorphism(4)
@@ -554,8 +569,10 @@ class TestRegistry:
 
     def test_resolution_reaches_the_quadratures(self, mollified_map):
         assert da.estimate_area(mollified_map, 0.6, "kernel-fft", resolution=256).resolution == 256
-        default = da.estimate_area(mollified_map, 0.6, "kernel-fft")
-        assert default.resolution == area.kernel_sample_count(0.6)
+        # the pair kernel's peak is that of the Poisson kernel at r^2: at r = 0.99,
+        # 2048 samples where the rule at r itself would take 4096
+        default = da.estimate_area(mollified_map, 0.99, "kernel-fft")
+        assert default.resolution == da.sample_count(0.99 * 0.99) == 2048
         assert da.estimate_area(mollified_map, 0.6, "green-quadrature").resolution == 1024
 
     def test_fourier_coeffs_are_accepted(self, mollified_map):

@@ -370,6 +370,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unit modulus"):  # past the doubles: inf, not OverflowError
             da.from_json(json.dumps({**doc, "omega_re": 10**400}))
 
+    @pytest.mark.parametrize("value", ["0", "6.283185307179586", True, False, {}, None])
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_non_number_knot_raises_value_error(self, random_map, value, col):
+        # np.asarray would read a numeric string or a bool as a number, and
+        # float() raises TypeError on an object
+        doc = json.loads(da.to_json(random_map))
+        knots = [list(pair) for pair in doc["knots"]]
+        knots[1][col] = value
+        with pytest.raises(ValueError, match="number pairs"):
+            da.from_json(json.dumps({**doc, "knots": knots}))
+
+    def test_integer_knots_read_as_numbers(self):
+        doc = {"kind": "homeomorphism", "omega_re": 1, "omega_im": 0, "knots": [[0, 0], [1, 2], [TWO_PI, TWO_PI]]}
+        assert np.array_equal(da.from_json(json.dumps(doc)).knots_lift, [0.0, 2.0, TWO_PI])
+
     def test_malformed_json_raises_value_error(self):
         flat = json.dumps({"kind": "homeomorphism", "omega_re": 1.0, "omega_im": 0.0,
                            "knots": [0.0, TWO_PI]})

@@ -339,8 +339,8 @@ class TestBenchCommand:
     def test_routes_disagreeing_beyond_1e_10_exit_1(self, capsys, monkeypatch):
         from diskarea import pair_sums
 
-        real = pair_sums.odd_lag_dot
-        monkeypatch.setattr(pair_sums, "odd_lag_dot", lambda kern, sums: real(kern, sums) * (1.0 + 1e-9))
+        real = pair_sums.direct_sine_lag_sums
+        monkeypatch.setattr(pair_sums, "direct_sine_lag_sums", lambda xi: real(xi) * (1.0 + 1e-9))
         code, _, err = run_cli(capsys, "bench", "--sizes", "64,300", "--repeat", "1")
         assert code == 1
         assert err.count("disagrees with kernel-fft") == 2

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import diskarea as da
 from diskarea import pair_sums
-from diskarea.area import KERNEL_DIRECT, KERNEL_FFT, _lift_lag_sums, _route_value
+from diskarea.area import KERNEL_DIRECT, KERNEL_FFT, _route_value
 
 import oracles
 
 TWO_PI = 2.0 * math.pi
+LAG_SUMS = ("direct_sine_lag_sums", "sine_lag_sums")  # the two kernel routes' lag sums
 
 
 def _inputs(seed, m, degree=1):
@@ -119,19 +120,23 @@ class TestDensePairSum:
         want = (kern[1] - kern[2]) * cyc
         assert abs(oracles.dense_area_sum(kern, xi) - want) <= 1e-14 * max(1.0, abs(want))
 
-    def test_two_samples_exactly_zero(self):
+    # both kernel routes dot through odd_lag_dot, so both give these zeros exactly
+    @pytest.mark.parametrize("lag_sums", LAG_SUMS)
+    def test_two_samples_exactly_zero(self, lag_sums):
         # at M = 2 every lag is its own negative, so the odd part of any kernel is 0
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert oracles.dense_area_sum(rng.standard_normal(2), rng.uniform(-20.0, 20.0, 2)) == 0.0
+            kern, xi = rng.standard_normal(2), rng.uniform(-20.0, 20.0, 2)
+            assert pair_sums.odd_lag_dot(kern, getattr(pair_sums, lag_sums)(xi)) == 0.0
 
+    @pytest.mark.parametrize("lag_sums", LAG_SUMS)
     @pytest.mark.parametrize("m", [5, 64, 513, 1024, 4097])
-    def test_even_kernel_exactly_zero(self, m):
+    def test_even_kernel_exactly_zero(self, m, lag_sums):
         rng = np.random.default_rng(m)
         half = rng.standard_normal(m)
         kern = half + np.concatenate((half[:1], half[:0:-1]))  # K[d] == K[(-d) mod M] exactly
         xi = np.sort(rng.uniform(0, 3 * TWO_PI, m))
-        assert oracles.dense_area_sum(kern, xi) == 0.0
+        assert pair_sums.odd_lag_dot(kern, getattr(pair_sums, lag_sums)(xi)) == 0.0
 
     @pytest.mark.parametrize("m", [2, 3, 7, 1000])
     def test_non_odd_kernel_matches_reference(self, m):
@@ -214,7 +219,7 @@ class TestDirectLagSums:
         kern, _, xi, _ = _inputs(21, m)
         sums = pair_sums.direct_sine_lag_sums(xi)
         odd = pair_sums.odd_lag_dot(kern, sums)
-        full = pair_sums.lag_dot(kern, sums)
+        full = float(np.dot(kern, sums))
         assert abs(odd - full) <= 1e-12 * max(1.0, abs(odd))
 
 
@@ -246,6 +251,6 @@ class TestFFTAgainstDense:
     @example(m=511, seed=3, r=0.9)
     def test_kernel_fft_value_matches_direct(self, m, seed, r):
         bmap = da.make_random_homeomorphism(seed, roughness=0.5)
-        got = _route_value(bmap, r, m, KERNEL_FFT, _lift_lag_sums.__wrapped__)
-        want = _route_value(bmap, r, m, KERNEL_DIRECT, _lift_lag_sums.__wrapped__)
+        got = _route_value(bmap, r, m, KERNEL_FFT)
+        want = _route_value(bmap, r, m, KERNEL_DIRECT)
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)

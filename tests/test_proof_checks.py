@@ -169,6 +169,19 @@ class TestCosIdentity:
             bmap = da.make_random_homeomorphism(seed)
             assert da.cos_identity_residual(bmap, 0.6, 1024) < 1e-8
 
+    def test_lift_without_its_period_shift_fails_both_rows(self, monkeypatch):
+        # both proof rows read the lift's second period, so a lift that is not
+        # periodic must fail them, as the proof suite builds them
+        def unshifted(bmap, t):
+            return np.interp(np.mod(t, TWO_PI), bmap.knots_t, bmap.knots_lift)
+
+        monkeypatch.setattr(pc, "eval_lift", unshifted)
+        bmap = da.make_random_homeomorphism(0, roughness=0.5)
+        for r in (0.25, 0.9):
+            resid = pc.cos_identity_residual(bmap, r, 512)
+            assert not make_verdict("cos-identity", "", r, resid, 0.0, 1e-8, 512).passed
+            assert not pc.check_gap_double_integral(bmap, r, 512).passed
+
 
 class TestGapDoubleIntegral:
     def test_identity_vanishes(self):
