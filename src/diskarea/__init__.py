@@ -67,7 +67,6 @@ from .proof_checks import (
     profile_gap_integral,
     random_profile,
     reflect_profile,
-    strict_interior_positivity,
     tangent_gap,
 )
 from .verify import (

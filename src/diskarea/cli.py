@@ -145,7 +145,7 @@ def _cmd_verify(args) -> int:
         families=args.family or [],
         radii=_parse_floats(args.radii),
         seeds=parse_seed_range(args.seeds),
-        mollify=_parse_floats(args.mollify) if args.mollify else list(MOLLIFY_WIDTHS),
+        mollify=_parse_floats(args.mollify) if args.mollify is not None else list(MOLLIFY_WIDTHS),
         order=args.order,
     )
     rows = run_suite(args.suite, config)

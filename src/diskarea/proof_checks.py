@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_sums
-from .area import KERNEL_DIRECT, _route_value, area_kernel
+from .area import KERNEL_DIRECT, HypothesisViolationError, _route_value, area_kernel
 from .circle_maps import HOMEOMORPHISM, TWO_PI, BoundaryMap, _random_lift, eval_lift
 from .poisson import _check_radius
 from .verify import VerdictRecord, make_verdict
@@ -133,7 +133,7 @@ def _triangle_masks(A, B):
     return t1, t2
 
 
-def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> VerdictRecord:
+def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> tuple[VerdictRecord, VerdictRecord]:
     """Sign structure of the tangent gap and its kernel weighting on the square.
 
     Checks, on a (grid_n+1)^2 grid over [0, 2*pi]^2:
@@ -141,11 +141,16 @@ def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> Verdict
       (b) gap > 1e-14 off a one-cell diagonal band within [0, pi]^2;
       (c) d(gap)/d(beta) = cos(a) - cos(b) >= -1e-14 for 0<=a<=pi, a<=b<=2pi-a;
       (d) kernel(a) * gap >= -1e-12 outside the two open triangles, per radius,
-          while at least one strictly negative sample exists inside them.
+          while at least one strictly negative sample exists inside them;
+      (e) kernel(a) * gap(a, pi) > 1e-12 per radius off its zeros at 0, pi, 2*pi.
+
+    Returns the ``tangent-gap-signs`` record of (a)-(d) and the
+    ``strict-interior-positivity`` record of (e), both at r = max(radii).
 
     The grid is built from its column of angles a[:, None] and its row
     a[None, :], so every sine, cosine and kernel value is taken once per grid
-    angle and only arithmetic and masks run on the full square.
+    angle and only arithmetic and masks run on the full square; (e) reads the
+    kernel column of (d).
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
@@ -169,17 +174,24 @@ def check_tangent_gap_signs(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> Verdict
     t1, t2 = _triangle_masks(A, B)
     inside = t1 | t2
     outside = ~inside
+    pi_gap = tangent_gap(a, math.pi)
+    interior = (a > 1e-12) & (np.abs(a - math.pi) > 1e-12) & (a < TWO_PI - 1e-12)
     worst_outside = math.inf
     best_inside = math.inf
+    margin = math.inf
     for r in radii:
-        KH = area_kernel(r, A) * H
+        kern = area_kernel(r, A)
+        KH = kern * H
         worst_outside = min(worst_outside, float(np.min(KH, where=outside, initial=math.inf)))
         best_inside = min(best_inside, float(np.min(KH, where=inside, initial=math.inf)))
+        margin = min(margin, float(np.min(kern[:, 0] * pi_gap, where=interior, initial=math.inf)))  # (e)
     ok = ok and worst_outside >= -1e-12 and best_inside < 0.0  # (d)
 
     lhs = min(worst, min_off, min_slope, worst_outside)
-    return make_verdict("tangent-gap-signs", "", radii[-1], lhs, 0.0, 1e-12, grid_n,
-                        direction="ge", holds=ok)
+    r = max(radii)
+    return (make_verdict("tangent-gap-signs", "", r, lhs, 0.0, 1e-12, grid_n, direction="ge", holds=ok),
+            make_verdict("strict-interior-positivity", f"grid:{grid_n}", r, margin, 1e-12, 0.0, grid_n,
+                         direction="ge"))
 
 
 def mirror_pair_residual(r: float, grid_n: int = 256):
@@ -206,11 +218,14 @@ def check_mirror_pair_identity(r: float) -> VerdictRecord:
     return make_verdict("mirror-pair-identity", "", r, lhs, 0.0, 1e-12, 256)
 
 
-def _lift_two_periods(bmap: BoundaryMap, m: int):
-    """The m grid angles of one period and the lift evaluated over two, so the
-    second period is the map's own and the gap sums check its periodicity."""
+def _gap_sums(bmap: BoundaryMap, r: float, m: int) -> tuple[float, float]:
+    """:func:`pair_sums.gap_pair_sums` on the m grid angles of one period, with the lift
+    over two, so the second period is the map's own and the sums check its periodicity."""
+    r = _check_radius(r, allow_zero=False)
+    if bmap.kind != HOMEOMORPHISM:
+        raise HypothesisViolationError("increment identities need a homeomorphism")
     t = np.arange(m) * (TWO_PI / m)
-    return t, eval_lift(bmap, np.concatenate([t, t + TWO_PI]))
+    return pair_sums.gap_pair_sums(area_kernel(r, t), t, eval_lift(bmap, np.concatenate([t, t + TWO_PI])))
 
 
 def cos_identity_residual(bmap: BoundaryMap, r: float, n_samples: int = 512) -> float:
@@ -220,38 +235,27 @@ def cos_identity_residual(bmap: BoundaryMap, r: float, n_samples: int = 512) -> 
     averages along every shifted copy of the grid; the discrete sum inherits
     this through exact reindexing, so the residual sits at rounding level.
     """
-    r = _check_radius(r, allow_zero=False)
-    if bmap.kind != HOMEOMORPHISM:
-        raise ValueError("increment identities need a homeomorphism")
     m = int(n_samples)
-    alphas, lift2 = _lift_two_periods(bmap, m)
-    kern = area_kernel(r, alphas)
-    cos_sum, _ = pair_sums.gap_pair_sums(kern, alphas, lift2)
-    return abs(cos_sum) / (m * m)
+    return abs(_gap_sums(bmap, r, m)[0]) / (m * m)
 
 
-def check_gap_double_integral(bmap: BoundaryMap, r: float, n_samples: int = 512, map_id: str = "") -> VerdictRecord:
-    """Kernel-weighted tangent-gap double integral is nonnegative, and its value
-    accounts exactly for the area deficit.
-
-    The double sum of K(a) {sin a + (g - a) cos a - sin g} over matched grids
-    must be >= -1e-8, and value / (4 pi) must reproduce pi r^2 minus the
-    kernel-quadrature area at the same resolution.
-    """
-    r = _check_radius(r, allow_zero=False)
-    if bmap.kind != HOMEOMORPHISM:
-        raise ValueError("the gap double integral needs a homeomorphism")
+def check_gap_double_integral(bmap: BoundaryMap, r: float, n_samples: int = 512,
+                              map_id: str = "") -> tuple[VerdictRecord, VerdictRecord]:
+    """The ``cos-identity`` record of :func:`cos_identity_residual` and the
+    ``gap-double-integral`` record, from one pair of gap sums.  The double sum
+    of K(a) {sin a + (g - a) cos a - sin g} over matched grids must be >= -1e-8,
+    and value / (4 pi) must reproduce pi r^2 minus the kernel-quadrature area
+    at the same resolution."""
     m = int(n_samples)
-    alphas, lift2 = _lift_two_periods(bmap, m)
-    kern = area_kernel(r, alphas)
-    _, gap_sum = pair_sums.gap_pair_sums(kern, alphas, lift2)
+    cos_sum, gap_sum = _gap_sums(bmap, r, m)
     value = gap_sum * (TWO_PI / m) ** 2
     # the kernel-direct area at full resolution, from the direct lag sums on
     # purpose: the gap sum is built on the FFT lag sums, and an area sharing
     # them could not catch an error in them
     area = _route_value(bmap, r, m, KERNEL_DIRECT)
     bookkeeping = abs((math.pi * r * r - area) - value / (4.0 * math.pi))
-    return make_verdict("gap-double-integral", map_id, r, -value, 0.0, 1e-8, m, holds=bookkeeping <= 1e-6)
+    return (make_verdict("cos-identity", map_id, r, abs(cos_sum) / (m * m), 0.0, 1e-8, m),
+            make_verdict("gap-double-integral", map_id, r, -value, 0.0, 1e-8, m, holds=bookkeeping <= 1e-6))
 
 
 def profile_gap_integral(g: MonotoneProfile, r: float) -> tuple[float, float]:
@@ -406,15 +410,3 @@ def check_profile_family(radii, n_profiles: int = 500, n_chains: int = 200) -> t
         make_verdict("reflection-invariance", f"random-profiles:{n_chains}", r,
                      max([0.0] + reflection), 0.0, 1e-10, n),
     )
-
-
-def strict_interior_positivity(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> float:
-    """min over radii and interior grid angles of K(a) * gap(a, pi), excluding
-    the zeros at 0, pi, 2*pi; positive margin certifies the equality analysis."""
-    a = np.linspace(0.0, TWO_PI, grid_n + 1)
-    keep = (a > 1e-12) & (np.abs(a - math.pi) > 1e-12) & (a < TWO_PI - 1e-12)
-    out = math.inf
-    for r in radii:
-        vals = area_kernel(r, a[keep]) * tangent_gap(a[keep], math.pi)
-        out = min(out, float(np.min(vals)))
-    return out

@@ -3,12 +3,12 @@
 Each one checks a statement the library relies on by a slow, direct route:
 trapezoid quadrature of the kernel integrals, checked against their closed
 forms, plain lift arithmetic for the increment identities, full meshgrids
-for the proof suite's grid checks, the series fold through a copied array
-of its terms, the random lift drawn one row at a time, the gap integral of
-a reflected profile, the dense area sum of the ``kernel-direct`` route on
-bare arrays, and the circular convolution of that sum taken in one call over
-all lags.  None of them feeds a report row, so they live here and not in
-``diskarea``.
+for the proof suite's grid checks, the strict margin from the interior
+angles alone, the series fold through a copied array of its terms, the
+random lift drawn one row at a time, the gap integral of a reflected
+profile, the dense area sum of the ``kernel-direct`` route on bare arrays,
+and the circular convolution of that sum taken in one call over all lags.
+None of them feeds a report row, so they live here and not in ``diskarea``.
 """
 
 from __future__ import annotations
@@ -141,8 +141,22 @@ def check_tangent_gap_signs_meshgrid(grid_n: int = 256, radii=(0.3, 0.6, 0.9), m
     ok = ok and worst_outside >= -1e-12 and best_inside < 0.0  # (d)
 
     lhs = min(worst, min_off, min_slope, worst_outside)
-    return make_verdict("tangent-gap-signs", map_id, radii[-1], lhs, 0.0, 1e-12, grid_n,
+    return make_verdict("tangent-gap-signs", map_id, max(radii), lhs, 0.0, 1e-12, grid_n,
                         direction="ge", holds=ok)
+
+
+def strict_interior_positivity(grid_n: int = 256, radii=(0.3, 0.6, 0.9)) -> float:
+    """min over radii and interior grid angles of K(a) * gap(a, pi), excluding
+    the zeros at 0, pi, 2*pi, from the interior angles alone; the oracle for
+    the ``strict-interior-positivity`` record of
+    :func:`diskarea.check_tangent_gap_signs`."""
+    a = np.linspace(0.0, TWO_PI, grid_n + 1)
+    keep = (a > 1e-12) & (np.abs(a - math.pi) > 1e-12) & (a < TWO_PI - 1e-12)
+    out = math.inf
+    for r in radii:
+        vals = area_kernel(r, a[keep]) * tangent_gap(a[keep], math.pi)
+        out = min(out, float(np.min(vals)))
+    return out
 
 
 def mirror_pair_residual_meshgrid(r: float, grid_n: int = 256):

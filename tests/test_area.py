@@ -379,6 +379,23 @@ class TestKernelMethods:
         f = da.area_kernel_fft(mollified_map, r, 4096).value
         assert abs(d - f) <= 1e-10 * abs(f)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), roughness=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           mollified=st.booleans(), r=st.floats(0.0, 0.97, exclude_min=True), m=st.integers(2, 2500))
+    @example(seed=0, roughness=0.5, mollified=False, r=0.97, m=2)
+    @example(seed=7, roughness=0.5, mollified=True, r=0.97, m=2500)
+    def test_fft_equals_direct_property(self, seed, roughness, mollified, r, m):
+        # the 1e-10 relative gate of the two kernel routes on any map, radius
+        # and sample count; at M = 2 the kernel's odd part is empty, so both are 0
+        bmap = da.make_random_homeomorphism(seed, roughness=roughness)
+        if mollified:
+            bmap = da.mollify_map(bmap)
+        d = da.area_kernel_direct(bmap, r, m).value
+        f = da.area_kernel_fft(bmap, r, m).value
+        assert abs(d - f) <= 1e-10 * abs(f)
+        if m == 2:
+            assert d == f == 0.0
+
     def test_direct_matches_green_quadrature(self):
         bmap = da.mollify_map(da.make_random_homeomorphism(7))
         d = da.area_kernel_direct(bmap, 0.6, 1024).value

@@ -212,6 +212,13 @@ class TestVerifyCommand:
         assert code == 64
         assert "smoothing width" in err and out == ""
 
+    def test_empty_mollify_string_usage_error(self, capsys):
+        # an empty --mollify lists no width, like ",": it must not fall back to the defaults
+        code, out, err = run_cli(capsys, "verify", "--suite", "contraction", "--seeds", "0..0",
+                                 "--radii", "0.5", "--mollify", "")
+        assert code == 64
+        assert "smoothing width" in err and out == ""
+
     def test_family_outside_convexity_usage_error(self, capsys):
         # a flag that only one suite reads is rejected, by name, with any other suite
         for argv, flag in (

@@ -24,6 +24,7 @@ UNUSED_BY_DESIGN = {
     "proof_checks.reflect_profile": "called by the proof-bounds benchmark warm-up",
     "proof_checks.profile_gap_integral": "called by the proof-bounds benchmark warm-up",
     "proof_checks.check_reduction_chain": "called by the proof-bounds benchmark warm-up",
+    "proof_checks.cos_identity_residual": "called by the proof-bounds benchmark warm-up",
 }
 
 

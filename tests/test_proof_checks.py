@@ -39,8 +39,9 @@ class TestTangentGap:
 
 class TestSignStructure:
     def test_record_passes(self):
-        rec = da.check_tangent_gap_signs(256)
-        assert rec.passed
+        signs, strict = da.check_tangent_gap_signs(256)
+        assert signs.check_name == "tangent-gap-signs" and signs.passed
+        assert strict.check_name == "strict-interior-positivity" and strict.passed
 
     def test_negative_sample_exists_inside_triangles(self):
         # e.g. a = 3pi/4, b = 7pi/4 sits in the upper triangle with a
@@ -178,25 +179,26 @@ class TestCosIdentity:
         monkeypatch.setattr(pc, "eval_lift", unshifted)
         bmap = da.make_random_homeomorphism(0, roughness=0.5)
         for r in (0.25, 0.9):
-            resid = pc.cos_identity_residual(bmap, r, 512)
-            assert not make_verdict("cos-identity", "", r, resid, 0.0, 1e-8, 512).passed
-            assert not pc.check_gap_double_integral(bmap, r, 512).passed
+            cos, gap = pc.check_gap_double_integral(bmap, r, 512)
+            assert cos.check_name == "cos-identity" and not cos.passed
+            assert cos.lhs == pc.cos_identity_residual(bmap, r, 512)
+            assert gap.check_name == "gap-double-integral" and not gap.passed
 
 
 class TestGapDoubleIntegral:
     def test_identity_vanishes(self):
-        rec = da.check_gap_double_integral(da.make_identity(), 0.5, 512)
+        _, rec = da.check_gap_double_integral(da.make_identity(), 0.5, 512)
         assert rec.passed
         assert abs(rec.slack) < 1e-10
 
     def test_random_nonnegative_and_bookkept(self):
-        rec = da.check_gap_double_integral(da.make_random_homeomorphism(9), 0.5, 512)
+        _, rec = da.check_gap_double_integral(da.make_random_homeomorphism(9), 0.5, 512)
         assert rec.passed
         assert rec.slack >= 0.0
 
     def test_mobius_accounts_for_area_deficit(self, mobius_half):
         # value / 4pi must equal pi r^2 minus the confirmed image area
-        rec = da.check_gap_double_integral(mobius_half, 0.5, 512)
+        _, rec = da.check_gap_double_integral(mobius_half, 0.5, 512)
         assert rec.passed
         deficit = math.pi * 0.25 - 0.16 * math.pi
         assert abs(rec.slack / (4 * math.pi) - deficit) < 1e-5
@@ -204,6 +206,21 @@ class TestGapDoubleIntegral:
     def test_step_map_rejected(self, step_two_jump):
         with pytest.raises(ValueError):
             da.check_gap_double_integral(step_two_jump, 0.5)
+
+    def test_step_map_is_a_hypothesis_violation(self, step_two_jump):
+        # the increment identities need a homeomorphism: the input breaks the
+        # hypothesis, as in verify's checks, and the CLI exits 65
+        for check in (da.check_gap_double_integral, da.cos_identity_residual):
+            with pytest.raises(da.HypothesisViolationError):
+                check(step_two_jump, 0.5)
+
+    def test_cos_identity_record_holds_the_residual(self):
+        bmap = da.make_random_homeomorphism(2, roughness=0.5)
+        cos, gap = da.check_gap_double_integral(bmap, 0.75, 256, map_id="m")
+        assert (cos.map_id, cos.r, cos.resolution) == (gap.map_id, gap.r, gap.resolution) == ("m", 0.75, 256)
+        assert cos == make_verdict("cos-identity", "m", 0.75, da.cos_identity_residual(bmap, 0.75, 256),
+                                   0.0, 1e-8, 256)
+        assert cos.passed
 
 
 class TestProfileGapIntegral:
@@ -266,7 +283,8 @@ class TestReductionChain:
                 assert rec.passed, (seed, r, rec.slack)
 
     def test_strict_interior_positivity_supports_equality_analysis(self):
-        assert da.strict_interior_positivity(256) > 1e-12
+        _, strict = da.check_tangent_gap_signs(256)
+        assert strict.lhs > 1e-12
 
 
 class TestChangeOfVariables:
@@ -278,7 +296,7 @@ class TestChangeOfVariables:
             bmap = da.make_random_homeomorphism(seed)
             for r in (0.5, 0.75):
                 m = 512
-                rec = da.check_gap_double_integral(bmap, r, m)
+                _, rec = da.check_gap_double_integral(bmap, r, m)
                 ident = da.area_kernel_direct(da.make_identity(), r, m).value
                 mapped = da.area_kernel_direct(bmap, r, m).value
                 assert abs((ident - mapped) - rec.slack / (4 * math.pi)) < 1e-10
@@ -473,7 +491,7 @@ class TestSharedGrid:
             assert da.mirror_pair_residual(r, n) == oracles.mirror_pair_residual_meshgrid(r, n)
 
 
-GRID_RADII = ((0.3, 0.6, 0.9), (0.25, 0.5, 0.75, 0.9), (0.1, 0.97))
+GRID_RADII = ((0.3, 0.6, 0.9), (0.25, 0.5, 0.75, 0.9), (0.1, 0.97), (0.9, 0.25))  # unsorted: labelled 0.9
 
 
 class TestGridChecksFromRowsAndColumns:
@@ -484,10 +502,21 @@ class TestGridChecksFromRowsAndColumns:
     @pytest.mark.parametrize("radii", GRID_RADII)
     @pytest.mark.parametrize("grid_n", [64, 128, 256, 512])
     def test_tangent_gap_signs_equal_meshgrid_form(self, grid_n, radii):
-        got = pc.check_tangent_gap_signs(grid_n, radii)
+        got, _ = pc.check_tangent_gap_signs(grid_n, radii)
         want = oracles.check_tangent_gap_signs_meshgrid(grid_n, radii)
         assert got == want
         assert oracles.record_json(got) == oracles.record_json(want)
+
+    @pytest.mark.parametrize("radii", GRID_RADII)
+    @pytest.mark.parametrize("grid_n", [64, 65, 256])
+    def test_strict_margin_equals_interior_oracle(self, grid_n, radii):
+        # the margin read from the kernel column of the signs grid, odd grid_n
+        # (no grid angle at pi) and unsorted radii included
+        _, strict = pc.check_tangent_gap_signs(grid_n, radii)
+        want = oracles.strict_interior_positivity(grid_n, radii)
+        assert strict.lhs == want and repr(strict.lhs) == repr(want)
+        assert strict == make_verdict("strict-interior-positivity", f"grid:{grid_n}", max(radii), want, 1e-12, 0.0,
+                                      grid_n, direction="ge")
 
     @pytest.mark.parametrize("radii", GRID_RADII)
     @pytest.mark.parametrize("grid_n", [64, 128, 256, 512])
@@ -521,12 +550,13 @@ class TestCompoundVerdicts:
     def test_non_finite_gap_sum_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(pc.pair_sums, "gap_pair_sums", lambda *args: (math.nan, math.nan))
         bmap = da.make_random_homeomorphism(0, roughness=0.5)
-        rec = pc.check_gap_double_integral(bmap, 0.5, 64)
-        assert rec.inconclusive and not rec.passed
+        for rec in pc.check_gap_double_integral(bmap, 0.5, 64):
+            assert rec.inconclusive and not rec.passed
 
     def test_bookkeeping_failure_fails_with_nonnegative_slack(self, monkeypatch):
         # a gap sum that is positive but does not account for the area deficit
         monkeypatch.setattr(pc.pair_sums, "gap_pair_sums", lambda *args: (0.0, 1e3))
         bmap = da.make_random_homeomorphism(0, roughness=0.5)
-        rec = pc.check_gap_double_integral(bmap, 0.5, 64)
-        assert rec.slack > 0 and not rec.passed and not rec.inconclusive
+        cos, gap = pc.check_gap_double_integral(bmap, 0.5, 64)
+        assert cos.passed
+        assert gap.slack > 0 and not gap.passed and not gap.inconclusive

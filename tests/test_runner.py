@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import diskarea as da
-from diskarea import area, cli, poisson, proof_checks, runner, verify
+from diskarea import area, cli, pair_sums, poisson, proof_checks, runner, verify
 
 TWO_PI = 2.0 * math.pi
 
@@ -343,6 +343,37 @@ class TestSuites:
         for row in mirror:
             want = dict(runner._record_row(check(row["r"]), "", ""), schema=runner.SCHEMA_VERSION)
             assert {k: v for k, v in row.items() if k != "wall_time_ms"} == want
+
+    def test_proof_suite_takes_one_pair_of_gap_sums_per_map_and_radius(self, monkeypatch, capsys):
+        # 5 maps x 4 default radii: each pair of gap sums gives the cos-identity
+        # and the gap-double-integral row of its map and radius
+        calls = []
+        gap_pair_sums = pair_sums.gap_pair_sums
+        monkeypatch.setattr(pair_sums, "gap_pair_sums", lambda *args: calls.append(args) or gap_pair_sums(*args))
+        assert cli.main(["verify", "--suite", "proof", "--seeds", "0..4", "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(calls) == 20
+        for name in ("cos-identity", "gap-double-integral"):
+            assert len([row for row in rows if row["check_name"] == name]) == 20
+
+    def test_proof_suite_rows_are_the_check_records(self, monkeypatch):
+        # unsorted radii: the grid rows are labelled with the largest radius
+        monkeypatch.setattr(runner, "PROOF_PROFILES", 2)
+        monkeypatch.setattr(runner, "PROOF_CHAINS", 2)
+        rows = runner.run_proof_suite(runner.SweepConfig(radii=[0.9, 0.25], seeds=[3]))
+        signs, strict = proof_checks.check_tangent_gap_signs(256, (0.9, 0.25))
+        bmap = da.make_random_homeomorphism(3, roughness=0.5)
+        records = [(signs, "", ""), (strict, "grid", "")] + [
+            (rec, "random", "seed=3")
+            for r in (0.9, 0.25) for rec in proof_checks.check_gap_double_integral(bmap, r, 512, "random:3:0.5")
+        ]
+        for rec, family, params in records:
+            key = (rec.check_name, rec.map_id, rec.r)
+            (row,) = [row for row in rows if (row["check_name"], row["map_id"], row["r"]) == key]
+            want = dict(runner._record_row(rec, family, params), schema=runner.SCHEMA_VERSION)
+            assert {k: v for k, v in row.items() if k != "wall_time_ms"} == want
+        grid = ("tangent-gap-signs", "strict-interior-positivity")
+        assert {row["check_name"]: row["r"] for row in rows if row["check_name"] in grid} == dict.fromkeys(grid, 0.9)
 
     def test_contraction_tolerance_is_relative_to_the_disk(self):
         config = runner.SweepConfig(radii=[0.5], seeds=[0], mollify=[TWO_PI / 64])
